@@ -63,15 +63,14 @@ const DEEP: Family = Family {
 };
 
 /// The [`work`] a search-deep spec may take, and the pool's total: a
-/// narrow band gives every spec about the same search time, 0.05–0.1 s
-/// on `cpu-sequential`, so that neither the pool time nor the median
-/// miss depends much on which specs a seed draws.
+/// narrow band gives every spec about the same search time, 0.035–0.06 s
+/// on `cpu-sequential`, so that the pool time does not depend much on
+/// which specs a seed draws.
 const DEEP_BAND: (u64, u64) = (1_600_000, 2_400_000);
 const DEEP_TARGET: Target = Target::Work(26_000_000);
 
-/// Quick specs, for serve-loop's solve pool and every serve phase: they
-/// solve in 0.3 ms on average and 5 ms at the 99th percentile on
-/// `cpu-sequential`.
+/// Quick specs, for serve-loop's solve pool and the hot set every serve
+/// phase repeats.
 const QUICK: Family = Family {
     type1_len: (3, 3),
     type1_examples: (3, 5),
@@ -79,11 +78,33 @@ const QUICK: Family = Family {
     type2_examples: (3, 5),
 };
 
-/// serve-loop's solve pool: a fixed number of quick specs without the
-/// heavy tail. A quick spec's time is mostly per-run overhead, so the
-/// count, not the work, sets the pool's time.
-const QUICK_BAND: (u64, u64) = (1_000, 20_000);
+/// A narrow band of quick specs, about 0.17 ms each on `cpu-sequential`,
+/// so that neither serve-loop's pool time nor the priming in `setup_s`
+/// depends much on which specs a seed draws. A quick spec's time is
+/// mostly per-run overhead, so the count, not the work, sets the pool's
+/// time.
+const QUICK_BAND: (u64, u64) = (2_000, 6_000);
 const QUICK_TARGET: Target = Target::Specs(300);
+
+/// Miss specs, the serve phase's cache misses: length 4 and 4–5 examples
+/// each side, banded to about 7 ms on `cpu-sequential` (4–10 ms from the
+/// 10th to the 90th percentile). That is well above rei-net's 1 ms answer
+/// poll, so the synthesis, not the poll, sets the miss latency.
+const MISS: Family = Family {
+    type1_len: (4, 4),
+    type1_examples: (4, 5),
+    type2_len: (4, 4),
+    type2_examples: (4, 5),
+};
+const MISS_BAND: (u64, u64) = (100_000, 300_000);
+
+/// Misses each client sends per second of the serve phase, on a fixed
+/// schedule. A fixed rate, unlike a share of the requests, fixes the
+/// number of misses — about 1,200 in a 30 s run, so at least ten lie
+/// beyond the p99 — and with it the reference's work to check them. At
+/// about 8 ms each they hold a client for a third of its time; hits fill
+/// the rest (README.md, "Serve mix").
+pub const MISS_RATE: f64 = 40.0;
 
 /// When a screened pool is complete.
 #[derive(Debug, Clone, Copy)]
@@ -115,13 +136,19 @@ const LONG_SHAPES: [&[usize]; 4] = [&[64, 96], &[112, 72, 88], &[60, 120, 80, 10
 /// one per core of a 2-core machine.
 pub const CLIENTS: usize = 2;
 
-/// Share of serve-phase requests that are misses; the rest repeat specs
-/// already answered.
-pub const MISS_SHARE: f64 = 0.25;
+/// Share of `--seconds` the serve phase gets: every solve pass is followed
+/// by a serve slice as long as the pass. The same on every workload, so
+/// that every serving metric has as many samples on one workload as on
+/// another.
+const SERVE_SHARE: f64 = 0.5;
+
+/// Misses generated over those due in the serve share of `--seconds`: the
+/// last round may end after it.
+const MISS_HEADROOM: f64 = 1.15;
 
 /// Sub-streams of the seed.
 const HOT_STREAM: u64 = 0x4807;
-const FRESH_STREAM: u64 = 0xF2E5;
+const MISS_STREAM: u64 = 0xF2E5;
 
 impl Family {
     /// One spec, or `None` when the drawn parameters ask for more distinct
@@ -147,13 +174,6 @@ impl Family {
             generate_type2(&params, rng.next_u64())
         }
     }
-
-    /// The first feasible spec of the sub-stream `seed`.
-    fn draw_any(&self, seed: u64) -> Spec {
-        (0u64..)
-            .find_map(|attempt| self.draw(mix(seed, attempt)))
-            .expect("some draw is feasible")
-    }
 }
 
 /// One workload's inputs.
@@ -163,15 +183,14 @@ pub struct Inputs {
     pub pool: Vec<Spec>,
     /// Specs primed into the service cache during set-up.
     pub hot: Vec<Spec>,
-    /// Share of the measured time the solve phase gets; the serve phase
-    /// gets the rest.
-    pub solve_share: f64,
+    /// The serve phase's cache misses, in the order they are sent.
+    misses: Vec<Spec>,
 }
 
 impl Inputs {
-    /// Generates the inputs of `kind` from `seed`, with the reference cost
-    /// of every pool and hot spec.
-    pub fn generate(kind: Kind, seed: u64) -> (Inputs, Reference) {
+    /// Generates the inputs of `kind` from `seed` for runs of `budget`,
+    /// with the reference cost of every spec.
+    pub fn generate(kind: Kind, seed: u64, budget: Duration) -> (Inputs, Reference) {
         let mut reference = Reference::new();
         let pool = match kind {
             Kind::SearchDeep => reference.screened_pool(&DEEP, seed, DEEP_BAND, DEEP_TARGET),
@@ -182,11 +201,8 @@ impl Inputs {
                 .collect(),
             Kind::ServeLoop => reference.screened_pool(&QUICK, seed, QUICK_BAND, QUICK_TARGET),
         };
-        // Every workload serves the same quick-spec mix: the result line
-        // holds every metric, and the serving metrics are serve-loop's. A
-        // synthesis of tens of milliseconds per miss would leave too few
-        // misses, and the cores it takes too noisy a hit latency, for a
-        // bound of a quarter.
+        // Every workload serves the same mix: the result line holds every
+        // metric, so each workload measures the serving metrics too.
         let hot = reference.screened_pool(
             &QUICK,
             mix(seed, HOT_STREAM),
@@ -198,30 +214,55 @@ impl Inputs {
                 panic!("{why}");
             }
         }
-        let solve_share = match kind {
-            Kind::SearchDeep | Kind::LongExamples => 0.6,
-            Kind::ServeLoop => 0.3,
-        };
+        let serve_s = budget.as_secs_f64() * SERVE_SHARE * MISS_HEADROOM;
+        let wanted = CLIENTS * (MISS_RATE * serve_s).ceil() as usize;
+        let misses = reference.misses(mix(seed, MISS_STREAM), wanted, &hot);
         eprintln!(
-            "perfbench: seed {seed}: {} pool specs, {} hot specs",
+            "perfbench: seed {seed}: {} pool specs, {} hot specs, {} miss specs",
             pool.len(),
-            hot.len()
+            hot.len(),
+            misses.len()
         );
         let inputs = Inputs {
             seed,
             pool,
             hot,
-            solve_share,
+            misses,
         };
         (inputs, reference)
     }
 
-    /// The `k`-th cache-miss spec of serve-phase client `client`: an
-    /// endless seeded stream of quick specs (callers skip the rare repeat).
-    pub fn fresh(&self, client: usize, k: usize) -> Spec {
-        let stream = mix(self.seed, FRESH_STREAM + client as u64);
-        QUICK.draw_any(mix(stream, k as u64))
+    /// The `k`-th miss of serve-phase client `client`, while any is left.
+    pub fn miss(&self, client: usize, k: usize) -> Option<&Spec> {
+        self.misses.get(k * CLIENTS + client)
     }
+}
+
+/// Image `k` (0–3) of a binary spec under the symmetries of its alphabet:
+/// bit 0 swaps the letters `0` and `1`, bit 1 reverses every word. Each
+/// maps every regex to one of the same cost that accepts the image of its
+/// language, so every image has the spec's minimal cost.
+fn image(spec: &Spec, k: usize) -> Spec {
+    let map = |word: &Word| -> Word {
+        let mut chars: Vec<char> = word
+            .chars()
+            .iter()
+            .map(|&c| match (k & 1 == 1, c) {
+                (true, '0') => '1',
+                (true, '1') => '0',
+                _ => c,
+            })
+            .collect();
+        if k & 2 == 2 {
+            chars.reverse();
+        }
+        chars.into_iter().collect()
+    };
+    Spec::new(
+        spec.positive().iter().map(map),
+        spec.negative().iter().map(map),
+    )
+    .expect("a bijection of words keeps the examples apart")
 }
 
 /// A long-examples spec with examples of the given lengths. Positives
@@ -349,6 +390,29 @@ impl Reference {
         eprintln!("perfbench: the pool fell short of {target:?} in {MAX_DRAWS} draws");
         pool
     }
+
+    /// About `wanted` miss specs, none of them in `hot`: a screened pool of
+    /// [`MISS`] specs and their three other [`image`]s, each with its base
+    /// spec's reference cost, so the reference solves a quarter of them.
+    /// All first images come first, then all second ones, and so on, so
+    /// that two images of one spec are sent far apart.
+    fn misses(&mut self, seed: u64, wanted: usize, hot: &[Spec]) -> Vec<Spec> {
+        let bases = self.screened_pool(&MISS, seed, MISS_BAND, Target::Specs(wanted.div_ceil(4)));
+        let mut seen: HashSet<String> = hot.iter().map(Spec::canonicalize).collect();
+        let mut misses = Vec::with_capacity(wanted);
+        for k in 0..4 {
+            for base in &bases {
+                let cost = self.known(base).expect("a screened spec has a reference");
+                let spec = image(base, k);
+                let key = spec.canonicalize();
+                if seen.insert(key.clone()) {
+                    self.costs.insert(key, cost);
+                    misses.push(spec);
+                }
+            }
+        }
+        misses
+    }
 }
 
 /// The screening cut-off shared by [`Capped`] and the reference.
@@ -418,11 +482,6 @@ impl Rng {
     /// Uniform in the inclusive range.
     fn range(&mut self, (low, high): (usize, usize)) -> usize {
         low + self.below((high - low + 1) as u64) as usize
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

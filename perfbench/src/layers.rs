@@ -31,7 +31,7 @@ const PINGS: usize = 200;
 const KERNEL_TIME: Duration = Duration::from_millis(200);
 
 /// Runs every layer of `inputs` and reports the ledger.
-pub fn traced(inputs: &Inputs, reference: &mut Reference, budget: Duration, report: &mut Report) {
+pub fn traced(inputs: &Inputs, reference: &Reference, budget: Duration, report: &mut Report) {
     search_and_dispatch(inputs, reference, report);
     staging(&inputs.pool, report);
     kernels(inputs, report);
@@ -250,13 +250,9 @@ fn ns_per_op(mut op: impl FnMut()) -> (f64, u64) {
 
 /// The serve mix in process (`ShardRouter::submit`, `JobHandle::wait`,
 /// then the router's `metrics()`), and again over TCP through
-/// `NetServer`: the network's share is the difference.
-fn service_and_net(
-    inputs: &Inputs,
-    reference: &mut Reference,
-    window: Duration,
-    report: &mut Report,
-) {
+/// `NetServer`: the network's share of each TCP request is its latency
+/// minus the `wait_ms` the service reports in the answer.
+fn service_and_net(inputs: &Inputs, reference: &Reference, window: Duration, report: &mut Report) {
     let scratch = Scratch::create();
     let router = serve::start_router(&scratch.dir("in-process"));
     let hot = serve::prime(&router, inputs, reference, report);
@@ -274,16 +270,20 @@ fn service_and_net(
 
     let router = serve::start_router(&scratch.dir("tcp"));
     let hot = serve::prime(&router, inputs, reference, report);
-    let server = serve::bind(router);
-    let (remote, pings) = serve::tcp(server, inputs, reference, &hot, window, PINGS, report);
-    let hit_overhead = remote.hits.p50() - local.hits.p50();
+    let running = serve::Running::start(serve::bind(router));
+    let mut clients = running.clients(inputs, &hot, report);
+    clients.run(inputs, window);
+    let remote = clients.finish(reference, report);
+    let pings = running.stop(PINGS, report);
+    let hit_overhead = remote.hit_net.p50();
     report.metric("net.hit_overhead_ms", hit_overhead, "ms");
-    report.metric(
-        "net.miss_overhead_ms",
-        remote.misses.p50() - local.misses.p50(),
-        "ms",
-    );
+    report.metric("net.miss_overhead_ms", remote.miss_net.p50(), "ms");
     report.metric("net.ping_ms", p50(&pings), "ms");
+    report.metric(
+        "net.serve_rps",
+        remote.answered as f64 / remote.elapsed,
+        "1/s",
+    );
     report.metric(
         "ledger.net_unattributed_ms",
         hit_overhead - p50(&pings),

@@ -24,7 +24,10 @@ use inputs::{Inputs, Kind, Reference};
 use report::{median, Report};
 
 /// Set-ups per untraced run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 15;
+const SETUP_REPEATS: usize = 25;
+
+/// Rounds an untraced run makes at the least, however long one takes.
+const MIN_ROUNDS: usize = 3;
 
 const USAGE: &str = "usage: perfbench --workload <search-deep|long-examples|serve-loop> \
                      --seed <n> --seconds <n> --trace <0|1>";
@@ -81,16 +84,16 @@ fn main() -> ExitCode {
     };
     let budget = Duration::from_secs(args.seconds);
     let started = Instant::now();
-    let (inputs, mut reference) = Inputs::generate(args.kind, args.seed);
+    let (inputs, reference) = Inputs::generate(args.kind, args.seed, budget);
     eprintln!(
         "perfbench: inputs generated in {:.2} s",
         started.elapsed().as_secs_f64()
     );
     let mut report = Report::default();
     if args.trace {
-        layers::traced(&inputs, &mut reference, budget, &mut report);
+        layers::traced(&inputs, &reference, budget, &mut report);
     } else {
-        end_to_end(&inputs, &mut reference, budget, &mut report);
+        end_to_end(&inputs, &reference, budget, &mut report);
     }
     println!("{}", report.to_json());
     if report.correct() {
@@ -100,38 +103,64 @@ fn main() -> ExitCode {
     }
 }
 
-/// The untraced run: set-up, repeated for a steady median, then the solve
-/// phase and the serve phase, which share the measured time.
-fn end_to_end(inputs: &Inputs, reference: &mut Reference, budget: Duration, report: &mut Report) {
+/// The untraced run. One set-up serves the run; more, spread over the
+/// run, give `setup_s` a steady median. Then rounds until `budget` has
+/// passed (and at least [`MIN_ROUNDS`]): a solve pass, and a serve slice
+/// as long as the pass, so that both phases meet the same conditions of
+/// the machine.
+fn end_to_end(inputs: &Inputs, reference: &Reference, budget: Duration, report: &mut Report) {
     let scratch = serve::Scratch::create();
+    let started = Instant::now();
     let mut setup_s = Vec::with_capacity(SETUP_REPEATS);
-    let mut setup = None;
-    for repeat in 0..SETUP_REPEATS {
-        drop(setup.take()); // the previous set-up is torn down off the clock
-        let dir = scratch.dir(&format!("setup-{repeat}"));
-        let started = Instant::now();
-        setup = Some(serve::Setup::build(inputs, reference, &dir, report));
-        setup_s.push(started.elapsed().as_secs_f64());
+    let setup = set_up(inputs, reference, &scratch, &mut setup_s, report);
+    let mut sessions = setup.sessions;
+    let running = serve::Running::start(setup.server);
+    let mut clients = running.clients(inputs, &setup.hot, report);
+    let mut passes = solve::Passes::new(inputs);
+    let mut round = Duration::ZERO;
+    while passes.done() < MIN_ROUNDS || started.elapsed() + round / 2 < budget {
+        let share = (started.elapsed().as_secs_f64() / budget.as_secs_f64()).min(1.0);
+        while (setup_s.len() as f64) < SETUP_REPEATS as f64 * share {
+            drop(set_up(inputs, reference, &scratch, &mut setup_s, report));
+        }
+        let round_started = Instant::now();
+        let pass = passes.run(&mut sessions, inputs, reference, report);
+        clients.run(inputs, pass);
+        round = round_started.elapsed();
     }
-    let mut setup = setup.expect("at least one set-up");
+    while setup_s.len() < SETUP_REPEATS {
+        drop(set_up(inputs, reference, &scratch, &mut setup_s, report));
+    }
     report.metric("setup_s", median(&setup_s), "s");
+    passes.finish(&sessions, report);
 
-    let solve_window = budget.mul_f64(inputs.solve_share);
-    solve::rounds(&mut setup.sessions, inputs, reference, solve_window, report);
-
-    let serve_window = budget.saturating_sub(solve_window);
-    let (served, _) = serve::tcp(
-        setup.server,
-        inputs,
-        reference,
-        &setup.hot,
-        serve_window,
-        0,
-        report,
+    let served = clients.finish(reference, report);
+    running.stop(0, report);
+    eprintln!(
+        "perfbench: {} rounds; served {} hits and {} misses in {:.2} s",
+        passes.done(),
+        served.hits.len(),
+        served.misses.len(),
+        served.elapsed
     );
     report.metric("hit_p50_ms", served.hits.p50(), "ms");
     report.metric("hit_p99_ms", served.hits.p99(), "ms");
     report.metric("miss_p50_ms", served.misses.p50(), "ms");
     report.metric("miss_p99_ms", served.misses.p99(), "ms");
-    report.metric("serve_rps", served.answered as f64 / served.elapsed, "1/s");
+}
+
+/// Builds one set-up in a directory of its own under `scratch`, and records
+/// how long it took. Dropping it tears it down off the clock.
+fn set_up(
+    inputs: &Inputs,
+    reference: &Reference,
+    scratch: &serve::Scratch,
+    setup_s: &mut Vec<f64>,
+    report: &mut Report,
+) -> serve::Setup {
+    let dir = scratch.dir(&format!("setup-{}", setup_s.len()));
+    let started = Instant::now();
+    let setup = serve::Setup::build(inputs, reference, &dir, report);
+    setup_s.push(started.elapsed().as_secs_f64());
+    setup
 }

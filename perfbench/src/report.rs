@@ -98,50 +98,31 @@ fn sorted(values: &[f64]) -> Vec<f64> {
     sorted
 }
 
-/// The span of the windows [`Latencies::p99`] takes its median over.
-const WINDOW_S: f64 = 2.0;
-
-/// Latencies in milliseconds, each with when it was taken, in seconds
-/// since its loop started.
+/// The latencies of one request class over a whole loop, in milliseconds.
 #[derive(Debug, Default)]
-pub struct Latencies {
-    samples: Vec<(f64, f64)>,
-}
+pub struct Latencies(Vec<f64>);
 
 impl Latencies {
-    pub fn push(&mut self, at: f64, ms: f64) {
-        self.samples.push((at, ms));
+    pub fn push(&mut self, ms: f64) {
+        self.0.push(ms);
     }
 
     pub fn extend(&mut self, other: Latencies) {
-        self.samples.extend(other.samples);
+        self.0.extend(other.0);
     }
 
-    /// The median latency.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The nearest-rank median.
     pub fn p50(&self) -> f64 {
-        let all: Vec<f64> = self.samples.iter().map(|&(_, ms)| ms).collect();
-        percentile(&all, 50.0)
+        percentile(&self.0, 50.0)
     }
 
-    /// The 99th percentile: the median over consecutive [`WINDOW_S`]-second
-    /// spans of each span's 99th percentile. Other tenants of the machine
-    /// stall it for seconds at a time, which moves the percentile of the
-    /// whole loop but only the windows they fall in.
+    /// The nearest-rank 99th percentile.
     pub fn p99(&self) -> f64 {
-        let mut windows: Vec<Vec<f64>> = Vec::new();
-        for &(at, ms) in &self.samples {
-            let window = (at / WINDOW_S) as usize;
-            if windows.len() <= window {
-                windows.resize(window + 1, Vec::new());
-            }
-            windows[window].push(ms);
-        }
-        let p99s: Vec<f64> = windows
-            .iter()
-            .filter(|window| !window.is_empty())
-            .map(|window| percentile(window, 99.0))
-            .collect();
-        median(&p99s)
+        percentile(&self.0, 99.0)
     }
 }
 

@@ -1,24 +1,26 @@
 //! The serve phase: an in-process `NetServer` on 127.0.0.1 over a
 //! `ShardRouter` whose result cache persists to a directory, driven by
 //! closed-loop clients — each waits for its answer before it sends the
-//! next request. A client mixes repeats of specs already answered (cache
-//! hits) with fresh specs (misses, which synthesise and append to the
-//! write-ahead log).
+//! next request. A client sends a fresh spec when its next miss is due
+//! (a miss, which synthesises and appends to the write-ahead log) and
+//! otherwise repeats a spec already answered (a cache hit).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rei_core::SynthSession;
 use rei_lang::{Spec, Word};
 use rei_net::{NetConfig, NetServer};
 use rei_service::json::Json;
-use rei_service::{RouterConfig, ServiceConfig, ShardRouter, SynthRequest, SynthResponse};
+use rei_service::{
+    RouterConfig, RouterSnapshot, ServiceConfig, ShardRouter, SynthRequest, SynthResponse,
+};
 
-use crate::inputs::{mix, synth_config, Inputs, Reference, Rng, CLIENTS, MISS_SHARE};
+use crate::inputs::{mix, synth_config, Inputs, Reference, Rng, CLIENTS, MISS_RATE};
 use crate::report::{Latencies, Report};
 use crate::solve::{verify, warm_sessions};
 
@@ -168,7 +170,7 @@ pub struct Known {
 
 /// The fields of one answer the checks read.
 #[derive(Debug, Clone, Default)]
-struct Answer {
+pub struct Answer {
     status: String,
     source: String,
     regex: String,
@@ -228,11 +230,11 @@ fn check_solved(spec: &Spec, answer: &Answer, expected: u64) -> Result<(), Strin
 
 /// How a client reaches the service. `call` returns the latency in
 /// milliseconds, from sending the request to holding the answer.
-trait Transport {
+pub trait Transport {
     fn call(&mut self, request: &Request) -> (f64, Result<Answer, String>);
 }
 
-struct Tcp {
+pub struct Tcp {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
     line: String,
@@ -298,12 +300,15 @@ impl Transport for InProcess<'_> {
 struct ClientLog {
     hits: Latencies,
     misses: Latencies,
+    hit_net: Latencies,
+    miss_net: Latencies,
     /// Miss answers, checked against the reference after the loop.
     fresh: Vec<(Spec, Answer)>,
     /// Hits, checked as they arrive.
     attempted: u64,
     failures: Vec<String>,
     answered: u64,
+    /// Seconds served.
     elapsed: f64,
 }
 
@@ -312,6 +317,10 @@ struct ClientLog {
 pub struct Served {
     pub hits: Latencies,
     pub misses: Latencies,
+    /// The latency minus the service's own `wait_ms` for the same request:
+    /// the time the transport adds.
+    pub hit_net: Latencies,
+    pub miss_net: Latencies,
     /// Queue wait (`wait_ms - run_ms`) and run time of every miss.
     pub queue_wait: Vec<f64>,
     pub run: Vec<f64>,
@@ -319,206 +328,241 @@ pub struct Served {
     pub elapsed: f64,
 }
 
-/// The next fresh spec of `client` that no client sent before.
-fn claim_fresh(
-    inputs: &Inputs,
-    client: usize,
-    next: &mut usize,
-    claimed: &Mutex<HashSet<String>>,
-) -> Spec {
-    loop {
-        let spec = inputs.fresh(client, *next);
-        *next += 1;
-        let mut claimed = claimed.lock().expect("no client panics holding the claims");
-        if claimed.insert(spec.canonicalize()) {
-            return spec;
-        }
-    }
+/// When miss `k` of `client` is due, in seconds of serving: every client
+/// sends [`MISS_RATE`] misses a second, the clients' misses evenly
+/// staggered.
+fn miss_due(client: usize, k: usize) -> f64 {
+    (k as f64 + client as f64 / CLIENTS as f64) / MISS_RATE
 }
 
-fn run_client(
-    transport: &mut dyn Transport,
-    inputs: &Inputs,
-    client: usize,
-    hot: &[Known],
-    claimed: &Mutex<HashSet<String>>,
-    deadline: Instant,
-) -> ClientLog {
-    let mut rng = Rng::new(mix(inputs.seed, 0xC11E_0000 + client as u64));
-    let mut known = hot.to_vec();
-    let mut log = ClientLog::default();
-    let mut next = 0;
-    let started = Instant::now();
-    while Instant::now() < deadline {
-        if known.is_empty() || rng.unit() < MISS_SHARE {
-            let request = Request::new(claim_fresh(inputs, client, &mut next, claimed));
-            match transport.call(&request) {
-                (ms, Ok(answer)) if answer.source == "fresh" => {
-                    log.misses.push(started.elapsed().as_secs_f64(), ms);
-                    if answer.status == "solved" {
-                        known.push(Known {
-                            request: request.clone(),
-                            regex: answer.regex.clone(),
-                            cost: answer.cost,
-                        });
-                    }
-                    log.fresh.push((request.spec, answer));
+/// One closed-loop client: its connection and where its traffic stands,
+/// kept from one slice of the loop to the next.
+struct Client<T> {
+    index: usize,
+    transport: T,
+    rng: Rng,
+    /// Specs whose answer it has seen: the hot set and its own misses.
+    known: Vec<Known>,
+    /// Its next miss.
+    next: usize,
+    after_miss: bool,
+    /// A transport error ended it.
+    broken: bool,
+    log: ClientLog,
+}
+
+impl<T: Transport> Client<T> {
+    /// Sends requests until `deadline`.
+    fn run(&mut self, inputs: &Inputs, deadline: Instant) {
+        let started = Instant::now();
+        while !self.broken && Instant::now() < deadline {
+            // A miss goes out when it is due, but never right after another
+            // one: a client that falls behind the schedule still sends hits.
+            let serving = self.log.elapsed + started.elapsed().as_secs_f64();
+            let due = !self.after_miss && serving >= miss_due(self.index, self.next);
+            let miss = inputs
+                .miss(self.index, self.next)
+                .filter(|_| due || self.known.is_empty());
+            self.after_miss = miss.is_some();
+            match miss {
+                Some(spec) => {
+                    self.next += 1;
+                    self.miss(spec.clone());
                 }
-                (_, Ok(answer)) => {
-                    log.attempted += 1;
-                    log.failures
-                        .push(format!("a fresh spec came back from the {}", answer.source));
-                }
-                (_, Err(why)) => {
-                    log.attempted += 1;
-                    log.failures.push(why);
-                    break;
-                }
+                None if self.known.is_empty() => break,
+                None => self.hit(),
             }
-        } else {
-            let repeat = &known[rng.below(known.len() as u64) as usize];
-            let (ms, answer) = transport.call(&repeat.request);
-            log.attempted += 1;
-            match answer {
-                Ok(answer)
-                    if answer.status == "solved"
-                        && answer.source == "cache"
-                        && answer.regex == repeat.regex
-                        && answer.cost == repeat.cost =>
-                {
-                    log.hits.push(started.elapsed().as_secs_f64(), ms);
+        }
+        self.log.elapsed += started.elapsed().as_secs_f64();
+    }
+
+    fn miss(&mut self, spec: Spec) {
+        let log = &mut self.log;
+        let request = Request::new(spec);
+        match self.transport.call(&request) {
+            (ms, Ok(answer)) if answer.source == "fresh" => {
+                log.misses.push(ms);
+                log.miss_net.push(ms - answer.wait_ms);
+                if answer.status == "solved" {
+                    self.known.push(Known {
+                        request: request.clone(),
+                        regex: answer.regex.clone(),
+                        cost: answer.cost,
+                    });
                 }
-                Ok(answer) => log.failures.push(format!(
-                    "a repeat came back {} from the {} as {} (cost {}), not {} (cost {})",
-                    answer.status,
-                    answer.source,
-                    answer.regex,
-                    answer.cost,
-                    repeat.regex,
-                    repeat.cost
-                )),
-                Err(why) => {
-                    log.failures.push(why);
-                    break;
-                }
+                log.fresh.push((request.spec, answer));
+            }
+            (_, Ok(answer)) => {
+                log.attempted += 1;
+                log.failures
+                    .push(format!("a fresh spec came back from the {}", answer.source));
+            }
+            (_, Err(why)) => {
+                log.attempted += 1;
+                log.failures.push(why);
+                self.broken = true;
+                return;
             }
         }
         log.answered += 1;
     }
-    log.elapsed = started.elapsed().as_secs_f64();
-    log
+
+    fn hit(&mut self) {
+        let log = &mut self.log;
+        let repeat = &self.known[self.rng.below(self.known.len() as u64) as usize];
+        let (ms, answer) = self.transport.call(&repeat.request);
+        log.attempted += 1;
+        match answer {
+            Ok(answer)
+                if answer.status == "solved"
+                    && answer.source == "cache"
+                    && answer.regex == repeat.regex
+                    && answer.cost == repeat.cost =>
+            {
+                log.hits.push(ms);
+                log.hit_net.push(ms - answer.wait_ms);
+            }
+            Ok(answer) => log.failures.push(format!(
+                "a repeat came back {} from the {} as {} (cost {}), not {} (cost {})",
+                answer.status, answer.source, answer.regex, answer.cost, repeat.regex, repeat.cost
+            )),
+            Err(why) => {
+                log.failures.push(why);
+                self.broken = true;
+                return;
+            }
+        }
+        log.answered += 1;
+    }
 }
 
-/// Runs the workload's closed-loop clients for `window`, then checks
-/// every miss answer against the reference.
-fn closed_loop<T: Transport>(
-    connect: impl Fn() -> Result<T, String> + Sync,
-    inputs: &Inputs,
-    reference: &mut Reference,
-    hot: &[Known],
-    window: Duration,
-    report: &mut Report,
-) -> Served {
-    let claimed = Mutex::new(inputs.hot.iter().map(Spec::canonicalize).collect());
-    let deadline = Instant::now() + window;
-    let logs: Vec<ClientLog> = std::thread::scope(|scope| {
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                let (connect, claimed) = (&connect, &claimed);
-                scope.spawn(move || match connect() {
-                    Ok(mut transport) => {
-                        run_client(&mut transport, inputs, client, hot, claimed, deadline)
-                    }
-                    Err(why) => ClientLog {
-                        attempted: 1,
-                        failures: vec![why],
-                        ..ClientLog::default()
-                    },
-                })
-            })
-            .collect();
-        clients
-            .into_iter()
-            .map(|client| client.join().expect("a client thread panicked"))
-            .collect()
-    });
-    let mut served = Served::default();
-    for log in logs {
-        report.count(log.attempted, &log.failures);
-        for (spec, answer) in &log.fresh {
-            report.check(
-                reference
-                    .cost(spec)
-                    .and_then(|expected| check_solved(spec, answer, expected)),
-            );
-            served.queue_wait.push(answer.wait_ms - answer.run_ms);
-            served.run.push(answer.run_ms);
+/// The workload's closed-loop clients, run in one or more slices. Each
+/// client keeps its connection, its miss schedule (in seconds of serving)
+/// and the specs it has seen answered from one slice to the next.
+pub struct ServeLoop<T> {
+    clients: Vec<Client<T>>,
+}
+
+impl<T: Transport + Send> ServeLoop<T> {
+    /// Connects [`CLIENTS`] clients; a client that cannot connect is a
+    /// failed operation.
+    fn connect(
+        connect: impl Fn() -> Result<T, String>,
+        inputs: &Inputs,
+        hot: &[Known],
+        report: &mut Report,
+    ) -> ServeLoop<T> {
+        let mut clients = Vec::with_capacity(CLIENTS);
+        for index in 0..CLIENTS {
+            match connect() {
+                Ok(transport) => clients.push(Client {
+                    index,
+                    transport,
+                    rng: Rng::new(mix(inputs.seed, 0xC11E_0000 + index as u64)),
+                    known: hot.to_vec(),
+                    next: 0,
+                    after_miss: false,
+                    broken: false,
+                    log: ClientLog::default(),
+                }),
+                Err(why) => report.check(Err(why)),
+            }
         }
-        served.hits.extend(log.hits);
-        served.misses.extend(log.misses);
-        served.answered += log.answered;
-        served.elapsed = served.elapsed.max(log.elapsed);
+        ServeLoop { clients }
     }
-    served
+
+    /// Runs every client, each on its own thread, for `window`.
+    pub fn run(&mut self, inputs: &Inputs, window: Duration) {
+        let deadline = Instant::now() + window;
+        std::thread::scope(|scope| {
+            for client in &mut self.clients {
+                scope.spawn(move || client.run(inputs, deadline));
+            }
+        });
+    }
+
+    /// The traffic of every slice, with every miss answer checked against
+    /// the reference.
+    pub fn finish(self, reference: &Reference, report: &mut Report) -> Served {
+        let mut served = Served::default();
+        for Client { log, .. } in self.clients {
+            report.count(log.attempted, &log.failures);
+            for (spec, answer) in &log.fresh {
+                report.check(
+                    reference
+                        .known(spec)
+                        .ok_or_else(|| "a miss spec has no reference".to_string())
+                        .and_then(|expected| check_solved(spec, answer, expected)),
+                );
+                served.queue_wait.push(answer.wait_ms - answer.run_ms);
+                served.run.push(answer.run_ms);
+            }
+            served.hits.extend(log.hits);
+            served.misses.extend(log.misses);
+            served.hit_net.extend(log.hit_net);
+            served.miss_net.extend(log.miss_net);
+            served.answered += log.answered;
+            served.elapsed = served.elapsed.max(log.elapsed);
+        }
+        served
+    }
 }
 
 /// The closed loop through the router in process
-/// (`ShardRouter::submit`, `JobHandle::wait`).
+/// (`ShardRouter::submit`, `JobHandle::wait`), run for `window`.
 pub fn in_process(
     router: &ShardRouter,
     inputs: &Inputs,
-    reference: &mut Reference,
+    reference: &Reference,
     hot: &[Known],
     window: Duration,
     report: &mut Report,
 ) -> Served {
-    closed_loop(
-        || Ok(InProcess(router)),
-        inputs,
-        reference,
-        hot,
-        window,
-        report,
-    )
+    let mut serving = ServeLoop::connect(|| Ok(InProcess(router)), inputs, hot, report);
+    serving.run(inputs, window);
+    serving.finish(reference, report)
 }
 
-/// Runs `server` for one closed loop over TCP, times `pings` round trips
-/// of the `ping` verb on one more connection, and shuts the server down
-/// through the wire. Returns the traffic and the ping latencies.
-pub fn tcp(
-    server: NetServer,
-    inputs: &Inputs,
-    reference: &mut Reference,
-    hot: &[Known],
-    window: Duration,
-    pings: usize,
-    report: &mut Report,
-) -> (Served, Vec<f64>) {
-    let addr = server.local_addr();
-    let serving = std::thread::spawn(move || server.run());
-    let served = closed_loop(
-        || Tcp::connect(addr),
-        inputs,
-        reference,
-        hot,
-        window,
-        report,
-    );
-    let mut ping_ms = Vec::with_capacity(pings);
-    let mut verbs = || -> Result<(), String> {
-        let mut tcp = Tcp::connect(addr)?;
-        for _ in 0..pings {
-            let started = Instant::now();
-            tcp.round_trip("{\"op\": \"ping\"}\n")?;
-            ping_ms.push(started.elapsed().as_secs_f64() * 1e3);
+/// A [`NetServer`] serving on its own thread.
+pub struct Running {
+    addr: SocketAddr,
+    thread: JoinHandle<Result<RouterSnapshot, String>>,
+}
+
+impl Running {
+    pub fn start(server: NetServer) -> Running {
+        let addr = server.local_addr();
+        Running {
+            addr,
+            thread: std::thread::spawn(move || server.run()),
         }
-        tcp.round_trip("{\"op\": \"shutdown\"}\n")
-    };
-    let shut = verbs();
-    report.check(shut);
-    report.check(match serving.join() {
-        Ok(outcome) => outcome.map(drop),
-        Err(_) => Err("the server thread panicked".into()),
-    });
-    (served, ping_ms)
+    }
+
+    /// The closed-loop clients, connected over TCP.
+    pub fn clients(&self, inputs: &Inputs, hot: &[Known], report: &mut Report) -> ServeLoop<Tcp> {
+        ServeLoop::connect(|| Tcp::connect(self.addr), inputs, hot, report)
+    }
+
+    /// Times `pings` round trips of the `ping` verb on one more connection,
+    /// then shuts the server down through the wire and waits for it.
+    /// Returns the ping latencies.
+    pub fn stop(self, pings: usize, report: &mut Report) -> Vec<f64> {
+        let mut ping_ms = Vec::with_capacity(pings);
+        let mut verbs = || -> Result<(), String> {
+            let mut tcp = Tcp::connect(self.addr)?;
+            for _ in 0..pings {
+                let started = Instant::now();
+                tcp.round_trip("{\"op\": \"ping\"}\n")?;
+                ping_ms.push(started.elapsed().as_secs_f64() * 1e3);
+            }
+            tcp.round_trip("{\"op\": \"shutdown\"}\n")
+        };
+        let shut = verbs();
+        report.check(shut);
+        report.check(match self.thread.join() {
+            Ok(outcome) => outcome.map(drop),
+            Err(_) => Err("the server thread panicked".into()),
+        });
+        ping_ms
+    }
 }

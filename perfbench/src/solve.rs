@@ -24,9 +24,6 @@ pub const BACKENDS: [BackendChoice; 3] = [
     BackendChoice::DeviceParallel { threads: None },
 ];
 
-/// Rounds the solve phase runs at the least, however long one takes.
-const MIN_ROUNDS: usize = 3;
-
 /// A session around `backend` that has solved one small spec, so its
 /// first measured run starts warm.
 pub fn warm_session(backend: Box<dyn Backend>) -> SynthSession {
@@ -97,46 +94,68 @@ pub fn solve_pool(
     (wall, stats)
 }
 
-/// The end-to-end solve phase: pass after pass over the pool until
-/// `window` has passed (and at least [`MIN_ROUNDS`] times), every backend
+/// The end-to-end solve phase, one pass at a time. In a pass every backend
 /// solves each spec in turn, in a rotating order so that no backend always
 /// runs first. `solve_s.<backend>` is the pool time: the sum over the specs
 /// of each spec's lower-quartile time on that backend. Other tenants of the
 /// machine only ever slow a solve down, by up to a third for seconds at a
 /// time, so the lower quartile tracks the program where the median tracks
 /// the neighbours.
-pub fn rounds(
-    sessions: &mut [SynthSession],
-    inputs: &Inputs,
-    reference: &Reference,
-    window: Duration,
-    report: &mut Report,
-) {
-    let deadline = Instant::now() + window;
-    let mut times = vec![vec![Vec::new(); inputs.pool.len()]; sessions.len()];
-    let mut round = 0;
-    while round < MIN_ROUNDS || Instant::now() < deadline {
+pub struct Passes {
+    /// Seconds per backend, per spec, per pass.
+    times: Vec<Vec<Vec<f64>>>,
+    done: usize,
+}
+
+impl Passes {
+    pub fn new(inputs: &Inputs) -> Passes {
+        Passes {
+            times: vec![vec![Vec::new(); inputs.pool.len()]; BACKENDS.len()],
+            done: 0,
+        }
+    }
+
+    /// Passes run so far.
+    pub fn done(&self) -> usize {
+        self.done
+    }
+
+    /// Solves the pool once on every session, checking each answer, and
+    /// returns the pass's wall time.
+    pub fn run(
+        &mut self,
+        sessions: &mut [SynthSession],
+        inputs: &Inputs,
+        reference: &Reference,
+        report: &mut Report,
+    ) -> Duration {
+        let started = Instant::now();
         for (k, spec) in inputs.pool.iter().enumerate() {
             let expected = reference
                 .known(spec)
                 .expect("every pool spec has a reference");
             for offset in 0..sessions.len() {
-                let index = (round + k + offset) % sessions.len();
+                let index = (self.done + k + offset) % sessions.len();
                 let session = &mut sessions[index];
-                let started = Instant::now();
+                let solved = Instant::now();
                 let outcome = session.run(spec);
-                times[index][k].push(started.elapsed().as_secs_f64());
+                self.times[index][k].push(solved.elapsed().as_secs_f64());
                 report.check(match outcome {
                     Ok(result) => verify(spec, &result.regex, result.cost, expected),
                     Err(err) => Err(format!("{} failed: {err}", session.backend_name())),
                 });
             }
         }
-        round += 1;
+        self.done += 1;
+        started.elapsed()
     }
-    for (session, times) in sessions.iter().zip(&times) {
-        let pool_s = times.iter().map(|spec| percentile(spec, 25.0)).sum();
-        report.metric(format!("solve_s.{}", session.backend_name()), pool_s, "s");
+
+    /// Reports `solve_s.<backend>` for each of `sessions`.
+    pub fn finish(&self, sessions: &[SynthSession], report: &mut Report) {
+        for (session, times) in sessions.iter().zip(&self.times) {
+            let pool_s = times.iter().map(|spec| percentile(spec, 25.0)).sum();
+            report.metric(format!("solve_s.{}", session.backend_name()), pool_s, "s");
+        }
     }
 }
 
