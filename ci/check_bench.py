@@ -9,8 +9,6 @@ runs (and the one to run locally after regenerating the file):
     python3 ci/check_bench.py BENCH_core.json
 
 It asserts the `rei-bench/perf-v5` schema: kernel speedup tripwires, the
-SIMD kernel-tier section (`kernels.simd`: probe result recorded, scalar
-parity proven, dispatched-vs-scalar speedups floored at 1.0), the
 per-backend level-execution counters, the `service` section's
 (`rei-bench/service-v6`) cold / cache-warm / disk-warm-restart / fused
 passes with their sharded per-pool breakdown, client-side end-to-end
@@ -69,45 +67,6 @@ def check_kernels(report):
     kernels = report["kernels"]
     assert kernels["geomean_concat_speedup"] >= 1.5, kernels
     assert kernels["geomean_star_speedup"] >= 1.5, kernels
-
-
-def check_simd(report):
-    # The SIMD kernel tier: the runtime probe result is recorded, every
-    # dispatched kernel matched its pinned-scalar reference bit for bit,
-    # and the dispatched entry points never lose to scalar. Disengaged
-    # rows (scalar-tier hosts, or closures where funnel staging found
-    # nothing profitable) are pinned to exactly 1.0 by the harness, so
-    # the floor is a real never-slower tripwire; 0.95 allows runner
-    # noise on the measured rows.
-    simd = report["kernels"]["simd"]
-    assert simd["tier"] in ("scalar", "avx2", "neon"), simd["tier"]
-    assert simd["accelerated"] == (simd["tier"] != "scalar"), simd
-    assert simd["scalar_parity"] is True, simd
-    for key in (
-        "geomean_concat_speedup",
-        "geomean_star_speedup",
-        "geomean_satisfy_speedup",
-    ):
-        assert simd[key] >= 0.95, f"{key} regressed below scalar: {simd[key]}"
-    rows = simd["per_benchmark"]
-    assert len(rows) >= 3, simd
-    for row in rows:
-        assert row["blocks"] >= 8, row
-        if not simd["accelerated"]:
-            assert row["satisfy_speedup"] == 1.0, row
-        if not row["concat_lanes"]:
-            assert row["concat_speedup"] == 1.0, row
-            assert row["star_speedup"] == 1.0, row
-    # An accelerated host must genuinely engage the lane concat kernel on
-    # at least one wide closure.
-    if simd["accelerated"]:
-        assert any(row["concat_lanes"] for row in rows), rows
-    print(
-        f"kernels.simd: tier {simd['tier']}, parity ok, geomeans "
-        f"concat {simd['geomean_concat_speedup']:.2f} / "
-        f"star {simd['geomean_star_speedup']:.2f} / "
-        f"satisfy {simd['geomean_satisfy_speedup']:.2f}"
-    )
 
 
 def check_recovery(service):
@@ -273,7 +232,6 @@ def main():
     assert report["schema"] == "rei-bench/perf-v5", report["schema"]
     check_backends(report)
     check_kernels(report)
-    check_simd(report)
     check_service(report)
     check_net(report)
     print(f"{path}: baseline contract ok")

@@ -8,7 +8,7 @@ use bench::{error_table_spec, example_3_6_spec, intro_spec};
 use gpu_sim::hashset::LockFreeU64Set;
 use gpu_sim::Device;
 use rei_core::{BackendChoice, SynthConfig, SynthSession};
-use rei_lang::{csops, Cs, GuideMasks, GuideTable, InfixClosure, SatisfyMasks, Word};
+use rei_lang::{csops, Cs, GuideMasks, GuideTable, InfixClosure, SatisfyMasks};
 use rei_syntax::{parse, CostFn};
 
 fn substrate_construction(c: &mut Criterion) {
@@ -67,75 +67,6 @@ fn cs_kernels(c: &mut Criterion) {
         let mut dst = Cs::zero(width);
         let mut scratch = vec![0u64; width.blocks()];
         b.iter(|| csops::star_into_linear(dst.blocks_mut(), a.blocks(), &gt, eps, &mut scratch))
-    });
-    group.finish();
-}
-
-fn simd_kernels(c: &mut Criterion) {
-    // The SIMD kernel tier against its pinned-scalar references, on a
-    // closure wide enough (32 blocks) for the lane paths to engage. The
-    // Table 1 closures fit in one block, so `cs_kernels` above always
-    // exercises the scalar kernels; these rows measure what the runtime
-    // tier probe buys on wide rows. On scalar-tier hosts both sides run
-    // the same code and the pairs should read as equal.
-    let ic = InfixClosure::of_words((0..=10u32).flat_map(|len| {
-        (0..(1u32 << len)).map(move |bits| {
-            Word::new((0..len).map(|i| if bits >> i & 1 == 1 { '1' } else { '0' }))
-        })
-    }));
-    let gm = GuideMasks::build(&ic);
-    let a = ic.cs_of_regex(&parse("(0?1)*").unwrap());
-    let b_cs = ic.cs_of_regex(&parse("1(0+1)?").unwrap());
-    let neg = ic.cs_of_regex(&parse("(10)*").unwrap());
-    let eps = ic.eps_index().unwrap();
-    let width = ic.width();
-
-    let mut group = c.benchmark_group("simd_kernels");
-    group.bench_function("concat_scalar", |b| {
-        let mut dst = Cs::zero(width);
-        b.iter(|| csops::concat_into_scalar(dst.blocks_mut(), a.blocks(), b_cs.blocks(), &gm))
-    });
-    group.bench_function("concat_simd", |b| {
-        let mut dst = Cs::zero(width);
-        b.iter(|| csops::concat_into_simd(dst.blocks_mut(), a.blocks(), b_cs.blocks(), &gm))
-    });
-    group.bench_function("star_scalar", |b| {
-        let mut dst = Cs::zero(width);
-        let mut scratch = vec![0u64; width.blocks()];
-        b.iter(|| csops::star_into_scalar(dst.blocks_mut(), a.blocks(), &gm, eps, &mut scratch))
-    });
-    group.bench_function("star_simd", |b| {
-        let mut dst = Cs::zero(width);
-        let mut scratch = vec![0u64; width.blocks()];
-        b.iter(|| csops::star_into_simd(dst.blocks_mut(), a.blocks(), &gm, eps, &mut scratch))
-    });
-    group.bench_function("satisfy_fold_scalar", |b| {
-        b.iter(|| {
-            std::hint::black_box(csops::satisfies_scalar(
-                std::hint::black_box(a.blocks()),
-                b_cs.blocks(),
-                neg.blocks(),
-            ));
-            std::hint::black_box(csops::misclassified_scalar(
-                std::hint::black_box(a.blocks()),
-                b_cs.blocks(),
-                neg.blocks(),
-            ))
-        })
-    });
-    group.bench_function("satisfy_fold_simd", |b| {
-        b.iter(|| {
-            std::hint::black_box(csops::satisfies_simd(
-                std::hint::black_box(a.blocks()),
-                b_cs.blocks(),
-                neg.blocks(),
-            ));
-            std::hint::black_box(csops::misclassified_simd(
-                std::hint::black_box(a.blocks()),
-                b_cs.blocks(),
-                neg.blocks(),
-            ))
-        })
     });
     group.finish();
 }
@@ -234,7 +165,6 @@ criterion_group!(
     benches,
     substrate_construction,
     cs_kernels,
-    simd_kernels,
     admission_prefilter,
     level_scheduler_sweep,
     uniqueness_set

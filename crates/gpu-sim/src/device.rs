@@ -1,6 +1,6 @@
 //! The simulated SIMT device: kernel launches over a thread pool.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::DeviceStats;
@@ -33,8 +33,6 @@ impl Default for DeviceConfig {
 struct Counters {
     kernel_launches: AtomicU64,
     items_executed: AtomicU64,
-    bytes_allocated: AtomicU64,
-    peak_bytes: AtomicU64,
     hash_insertions: AtomicU64,
 }
 
@@ -103,16 +101,11 @@ impl Device {
     /// many synthesis runs (one session, a whole benchmark suite) can
     /// report per-run deltas.
     ///
-    /// Kernel-launch, item and hash-insertion counters are zeroed. The
-    /// live-allocation gauge is *not* touched — buffers allocated before
-    /// the reset are still resident — and the peak gauge restarts from the
-    /// current live size.
+    /// Kernel-launch, item and hash-insertion counters are zeroed.
     pub fn reset_stats(&self) {
         self.counters.kernel_launches.store(0, Ordering::Relaxed);
         self.counters.items_executed.store(0, Ordering::Relaxed);
         self.counters.hash_insertions.store(0, Ordering::Relaxed);
-        let live = self.counters.bytes_allocated.load(Ordering::Relaxed);
-        self.counters.peak_bytes.store(live, Ordering::Relaxed);
     }
 
     /// A snapshot of the execution statistics.
@@ -120,55 +113,8 @@ impl Device {
         DeviceStats {
             kernel_launches: self.counters.kernel_launches.load(Ordering::Relaxed),
             items_executed: self.counters.items_executed.load(Ordering::Relaxed),
-            bytes_allocated: self.counters.bytes_allocated.load(Ordering::Relaxed),
-            peak_bytes: self.counters.peak_bytes.load(Ordering::Relaxed),
             hash_insertions: self.counters.hash_insertions.load(Ordering::Relaxed),
         }
-    }
-
-    /// Launches a kernel over the index space `0..items`.
-    ///
-    /// The closure is invoked once per item, possibly concurrently from
-    /// several worker threads; it must therefore only perform its own
-    /// synchronisation (e.g. atomics, the device hash set) for shared
-    /// state. Prefer [`Device::launch_chunks`] when each item owns a
-    /// disjoint slice of an output buffer.
-    pub fn launch<F>(&self, _name: &str, items: usize, kernel: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.note_launch(items);
-        if items == 0 {
-            return;
-        }
-        let workers = self
-            .config
-            .threads
-            .min(items.div_ceil(self.config.block_size))
-            .max(1);
-        if workers == 1 {
-            for i in 0..items {
-                kernel(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let block = self.config.block_size;
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let start = next.fetch_add(block, Ordering::Relaxed);
-                    if start >= items {
-                        break;
-                    }
-                    let end = (start + block).min(items);
-                    for i in start..end {
-                        kernel(i);
-                    }
-                });
-            }
-        })
-        .expect("kernel worker panicked");
     }
 
     /// Launches a kernel in which item `i` owns the `i`-th chunk of
@@ -249,24 +195,8 @@ impl Device {
             .fetch_add(items as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_alloc(&self, bytes: u64) {
-        let now = self
-            .counters
-            .bytes_allocated
-            .fetch_add(bytes, Ordering::Relaxed)
-            + bytes;
-        self.counters.peak_bytes.fetch_max(now, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_free(&self, bytes: u64) {
-        self.counters
-            .bytes_allocated
-            .fetch_sub(bytes, Ordering::Relaxed);
-    }
-
     /// Records a kernel launch of `items` items that was *scheduled by the
-    /// caller* rather than through [`Device::launch`] /
-    /// [`Device::launch_chunks`].
+    /// caller* rather than through [`Device::launch_chunks`].
     ///
     /// Backends that partition work over their own scoped threads (the
     /// thread-parallel CPU backend) use this so that launch and item
@@ -290,16 +220,16 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn launch_visits_every_item_exactly_once() {
-        let device = Device::with_threads(4);
-        let counter = AtomicU64::new(0);
-        device.launch("count", 1000, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        let device = Device::new(DeviceConfig {
+            threads: 4,
+            block_size: 8,
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
+        let mut visits = vec![0u32; 1000];
+        device.launch_chunks("count", &mut visits, 1, |_, chunk| chunk[0] += 1);
+        assert!(visits.iter().all(|&v| v == 1));
     }
 
     #[test]
@@ -331,16 +261,15 @@ mod tests {
         let device = Device::with_threads(2);
         let mut out: Vec<u64> = Vec::new();
         device.launch_chunks("noop", &mut out, 8, |_, _| unreachable!());
-        device.launch("noop", 0, |_| unreachable!());
         assert_eq!(device.stats().items_executed, 0);
-        assert_eq!(device.stats().kernel_launches, 2);
+        assert_eq!(device.stats().kernel_launches, 1);
     }
 
     #[test]
     fn stats_count_launches_and_items() {
         let device = Device::with_threads(2);
-        device.launch("a", 10, |_| {});
-        device.launch("b", 5, |_| {});
+        device.launch_chunks("a", &mut [0u8; 10], 1, |_, _| {});
+        device.launch_chunks("b", &mut [0u8; 10], 2, |_, _| {});
         let stats = device.stats();
         assert_eq!(stats.kernel_launches, 2);
         assert_eq!(stats.items_executed, 15);
@@ -349,7 +278,7 @@ mod tests {
     #[test]
     fn reset_stats_gives_per_run_deltas_on_a_reused_device() {
         let device = Device::with_threads(2);
-        device.launch("warm-up-run", 10, |_| {});
+        device.launch_chunks("warm-up-run", &mut [0u8; 10], 1, |_, _| {});
         device.record_hash_insertions(3);
         assert_eq!(device.stats().kernel_launches, 1);
 
@@ -359,22 +288,9 @@ mod tests {
         assert_eq!(cleared.items_executed, 0);
         assert_eq!(cleared.hash_insertions, 0);
 
-        device.launch("second-run", 7, |_| {});
+        device.launch_chunks("second-run", &mut [0u8; 7], 1, |_, _| {});
         assert_eq!(device.stats().kernel_launches, 1);
         assert_eq!(device.stats().items_executed, 7);
-    }
-
-    #[test]
-    fn reset_stats_keeps_live_allocations() {
-        let device = Device::sequential();
-        let buffer = crate::DeviceBuffer::<u64>::zeroed(&device, 16);
-        let live = device.stats().bytes_allocated;
-        assert!(live > 0);
-        device.reset_stats();
-        assert_eq!(device.stats().bytes_allocated, live);
-        assert_eq!(device.stats().peak_bytes, live);
-        drop(buffer);
-        assert_eq!(device.stats().bytes_allocated, 0);
     }
 
     #[test]
@@ -393,10 +309,8 @@ mod tests {
         });
         assert_eq!(device.config().threads, 1);
         assert_eq!(device.config().block_size, 1);
-        let counter = AtomicU64::new(0);
-        device.launch("count", 7, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 7);
+        let mut out = vec![0u8; 7];
+        device.launch_chunks("fill", &mut out, 1, |_, chunk| chunk[0] = 1);
+        assert_eq!(out, [1; 7]);
     }
 }

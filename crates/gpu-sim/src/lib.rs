@@ -11,14 +11,11 @@
 //!   (crossbeam-scoped). Kernels must be free of data-dependent branching
 //!   across items in the same way CUDA kernels are — each item writes only
 //!   to its own chunk of the output buffer.
-//! * [`DeviceBuffer`] — flat, contiguous device memory with explicit
-//!   allocation accounting, mirroring the paper's single pre-allocated
-//!   language cache and its out-of-memory behaviour.
 //! * [`hashset`] — a WarpCore-style concurrent hash set used for the
 //!   global uniqueness check: a lock-free open-addressing table for
 //!   single-word keys and a sharded exact table for multi-word keys.
-//! * [`DeviceStats`] — counters (kernel launches, items executed, bytes
-//!   allocated, hash-set insertions) that the benchmark harness reports.
+//! * [`DeviceStats`] — counters (kernel launches, items executed,
+//!   hash-set insertions) that the benchmark harness reports.
 //!
 //! # Example
 //!
@@ -38,11 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 mod device;
 pub mod hashset;
 mod stats;
 
-pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceConfig};
 pub use stats::DeviceStats;

@@ -4,7 +4,7 @@
 ///
 /// The benchmark harness reports these alongside wall-clock times so that
 /// runs can be compared in hardware-independent terms (number of kernel
-/// launches, number of data-parallel items processed, device memory used),
+/// launches, number of data-parallel items processed, hash-set insertions),
 /// mirroring the `# REs` column of the paper's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeviceStats {
@@ -12,10 +12,6 @@ pub struct DeviceStats {
     pub kernel_launches: u64,
     /// Total number of data-parallel items executed across all launches.
     pub items_executed: u64,
-    /// Bytes currently allocated in device buffers.
-    pub bytes_allocated: u64,
-    /// High-water mark of allocated bytes.
-    pub peak_bytes: u64,
     /// Number of insertions attempted on device hash sets.
     pub hash_insertions: u64,
 }
@@ -36,8 +32,6 @@ mod tests {
         let s = DeviceStats::new();
         assert_eq!(s.kernel_launches, 0);
         assert_eq!(s.items_executed, 0);
-        assert_eq!(s.bytes_allocated, 0);
-        assert_eq!(s.peak_bytes, 0);
         assert_eq!(s.hash_insertions, 0);
     }
 }

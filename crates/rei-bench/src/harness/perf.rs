@@ -10,11 +10,10 @@
 //! committed at the repository root so every PR has a baseline to beat,
 //! and CI regenerates it as an artifact on every push.
 
-use std::hint::black_box;
 use std::time::Instant;
 
 use rei_core::{BackendChoice, SynthSession, SynthesisStats};
-use rei_lang::{csops, simd, Cs, GuideMasks, GuideTable, InfixClosure, Word};
+use rei_lang::{csops, Cs, GuideMasks, GuideTable, InfixClosure};
 use rei_service::json::Json;
 use rei_syntax::parse;
 
@@ -41,71 +40,6 @@ pub struct KernelPerfRow {
     pub star_squared_ns: f64,
     /// `star_linear_ns / star_squared_ns`.
     pub star_speedup: f64,
-}
-
-/// SIMD-tier-vs-scalar micro-timings on one synthetic wide closure.
-///
-/// The Table 1 closures are a single `u64` block wide, below the lane
-/// thresholds of the SIMD tier, so those rows exercise the scalar kernels
-/// on every host. These rows instead use closures of all binary words up
-/// to a length bound — 8 to 32 blocks per row — where the lane kernels
-/// genuinely engage, and pit the dispatched entry points against the
-/// pinned-scalar references on identical operands.
-#[derive(Debug, Clone)]
-pub struct SimdPerfRow {
-    /// Closure label (`"words-len<=8"` …).
-    pub closure: String,
-    /// Words in the infix closure.
-    pub closure_size: usize,
-    /// `u64` blocks per characteristic-sequence row.
-    pub blocks: usize,
-    /// Whether funnel staging found profitable segments on this closure,
-    /// i.e. the lane concat/star kernels take the vector path at all.
-    /// Narrow closures stage nothing (their runs lose to segment setup)
-    /// and dispatch straight to scalar; their concat/star speedups are
-    /// pinned to 1.0.
-    pub concat_lanes: bool,
-    /// Mean nanoseconds per pinned-scalar concatenation.
-    pub concat_scalar_ns: f64,
-    /// Mean nanoseconds per dispatched concatenation.
-    pub concat_simd_ns: f64,
-    /// `concat_scalar_ns / concat_simd_ns` (pinned to 1.0 on scalar-tier
-    /// hosts, where both entry points run the same code).
-    pub concat_speedup: f64,
-    /// Mean nanoseconds per pinned-scalar squared star.
-    pub star_scalar_ns: f64,
-    /// Mean nanoseconds per dispatched squared star.
-    pub star_simd_ns: f64,
-    /// `star_scalar_ns / star_simd_ns` (pinned like the concat speedup).
-    pub star_speedup: f64,
-    /// Mean nanoseconds per pinned-scalar satisfy + misclassified fold.
-    pub satisfy_scalar_ns: f64,
-    /// Mean nanoseconds per dispatched satisfy + misclassified fold.
-    pub satisfy_simd_ns: f64,
-    /// `satisfy_scalar_ns / satisfy_simd_ns` (pinned like the others).
-    pub satisfy_speedup: f64,
-}
-
-/// The SIMD kernel-tier summary: which tier the runtime probe selected,
-/// whether every dispatched kernel agreed bit-for-bit with its scalar
-/// reference, and the speedup rows on the synthetic wide closures.
-#[derive(Debug, Clone)]
-pub struct SimdPerfSection {
-    /// Probe result label (`"scalar"`, `"avx2"`, `"neon"`).
-    pub tier: String,
-    /// Whether the probe found a lane tier at all.
-    pub accelerated: bool,
-    /// `true` when every dispatched kernel output matched the pinned
-    /// scalar kernel on every operand pair of every row.
-    pub scalar_parity: bool,
-    /// Geometric mean of the per-closure concat speedups.
-    pub geomean_concat_speedup: f64,
-    /// Geometric mean of the per-closure star speedups.
-    pub geomean_star_speedup: f64,
-    /// Geometric mean of the per-closure satisfy-fold speedups.
-    pub geomean_satisfy_speedup: f64,
-    /// One row per synthetic closure.
-    pub per_benchmark: Vec<SimdPerfRow>,
 }
 
 /// Wall-clock and search statistics of one backend over the whole pool.
@@ -155,8 +89,6 @@ pub struct PerfReport {
     pub available_cores: usize,
     /// Per-benchmark kernel rows.
     pub kernels: Vec<KernelPerfRow>,
-    /// SIMD tier timings on synthetic wide closures.
-    pub simd: SimdPerfSection,
     /// Geometric mean of the per-benchmark concat speedups.
     pub geomean_concat_speedup: f64,
     /// Geometric mean of the per-benchmark star speedups.
@@ -254,167 +186,6 @@ fn kernel_row(name: &str, spec: &rei_lang::Spec, calls: usize) -> KernelPerfRow 
     }
 }
 
-/// All binary words of length ≤ `max_len` — an infix-closed set whose
-/// rows are wide enough (8 blocks at `max_len = 8`, 32 at `10`) for the
-/// lane kernels to engage. Mirrors the parity-test closure in
-/// `rei_lang::csops`.
-fn wide_closure(max_len: u32) -> InfixClosure {
-    let words = (0..=max_len).flat_map(|len| {
-        (0..(1u32 << len)).map(move |bits| {
-            Word::new((0..len).map(|i| if bits >> i & 1 == 1 { '1' } else { '0' }))
-        })
-    });
-    InfixClosure::of_words(words)
-}
-
-/// Times the dispatched kernels against the pinned-scalar references on
-/// one synthetic wide closure and verifies their outputs agree.
-/// `parity` accumulates: it stays `true` only while every comparison on
-/// every row matches.
-fn simd_row(max_len: u32, calls: usize, parity: &mut bool) -> SimdPerfRow {
-    let ic = wide_closure(max_len);
-    let gm = GuideMasks::build(&ic);
-    let eps = ic.eps_index().expect("wide closure contains ε");
-    let rows = operand_rows(&ic);
-    let width = ic.width();
-    let pairs = rows.len() * rows.len();
-
-    let mut scalar = Cs::zero(width);
-    let mut dispatched = Cs::zero(width);
-    let mut scratch = vec![0u64; width.blocks()];
-
-    // Parity sweep first: every dispatched output against its scalar
-    // reference on the same operands the timings use.
-    for a in &rows {
-        for b in &rows {
-            csops::concat_into_scalar(scalar.blocks_mut(), a.blocks(), b.blocks(), &gm);
-            csops::concat_into_simd(dispatched.blocks_mut(), a.blocks(), b.blocks(), &gm);
-            *parity &= scalar == dispatched;
-            *parity &= csops::satisfies_scalar(a.blocks(), b.blocks(), scalar.blocks())
-                == csops::satisfies_simd(a.blocks(), b.blocks(), scalar.blocks());
-            *parity &= csops::misclassified_scalar(a.blocks(), b.blocks(), scalar.blocks())
-                == csops::misclassified_simd(a.blocks(), b.blocks(), scalar.blocks());
-        }
-        csops::star_into_scalar(scalar.blocks_mut(), a.blocks(), &gm, eps, &mut scratch);
-        csops::star_into_simd(dispatched.blocks_mut(), a.blocks(), &gm, eps, &mut scratch);
-        *parity &= scalar == dispatched;
-    }
-
-    let mut dst = Cs::zero(width);
-    let concat_scalar_ns = time_per_op(calls, pairs, || {
-        for a in &rows {
-            for b in &rows {
-                csops::concat_into_scalar(dst.blocks_mut(), a.blocks(), b.blocks(), &gm);
-            }
-        }
-    });
-    let concat_simd_ns = time_per_op(calls, pairs, || {
-        for a in &rows {
-            for b in &rows {
-                csops::concat_into_simd(dst.blocks_mut(), a.blocks(), b.blocks(), &gm);
-            }
-        }
-    });
-
-    let star_scalar_ns = time_per_op(calls, rows.len(), || {
-        for a in &rows {
-            csops::star_into_scalar(dst.blocks_mut(), a.blocks(), &gm, eps, &mut scratch);
-        }
-    });
-    let star_simd_ns = time_per_op(calls, rows.len(), || {
-        for a in &rows {
-            csops::star_into_simd(dst.blocks_mut(), a.blocks(), &gm, eps, &mut scratch);
-        }
-    });
-
-    // The fold operands reuse the operand rows: `a` plays the candidate,
-    // the neighbouring rows play the positive/negative masks. `black_box`
-    // keeps the optimiser from discarding the fold results.
-    let fold_ops = rows.len();
-    let satisfy_scalar_ns = time_per_op(calls, fold_ops, || {
-        for (i, a) in rows.iter().enumerate() {
-            let pos = &rows[(i + 1) % rows.len()];
-            let neg = &rows[(i + 2) % rows.len()];
-            black_box(csops::satisfies_scalar(
-                a.blocks(),
-                pos.blocks(),
-                neg.blocks(),
-            ));
-            black_box(csops::misclassified_scalar(
-                a.blocks(),
-                pos.blocks(),
-                neg.blocks(),
-            ));
-        }
-    });
-    let satisfy_simd_ns = time_per_op(calls, fold_ops, || {
-        for (i, a) in rows.iter().enumerate() {
-            let pos = &rows[(i + 1) % rows.len()];
-            let neg = &rows[(i + 2) % rows.len()];
-            black_box(csops::satisfies_simd(
-                a.blocks(),
-                pos.blocks(),
-                neg.blocks(),
-            ));
-            black_box(csops::misclassified_simd(
-                a.blocks(),
-                pos.blocks(),
-                neg.blocks(),
-            ));
-        }
-    });
-
-    // On scalar-tier hosts the dispatched entry points fall straight back
-    // to the scalar kernels; any measured ratio is pure noise, so the
-    // speedups are pinned to exactly 1.0 there. Likewise for concat and
-    // star on closures where funnel staging found nothing profitable:
-    // the dispatched kernel *is* the scalar kernel then.
-    let accelerated = simd::tier().is_accelerated();
-    let concat_lanes = accelerated && gm.simd_has_segments();
-    let ratio = |engaged: bool, scalar_ns: f64, simd_ns: f64| {
-        if engaged {
-            scalar_ns / simd_ns
-        } else {
-            1.0
-        }
-    };
-
-    SimdPerfRow {
-        closure: format!("words-len<={max_len}"),
-        closure_size: ic.len(),
-        blocks: width.blocks(),
-        concat_lanes,
-        concat_scalar_ns,
-        concat_simd_ns,
-        concat_speedup: ratio(concat_lanes, concat_scalar_ns, concat_simd_ns),
-        star_scalar_ns,
-        star_simd_ns,
-        star_speedup: ratio(concat_lanes, star_scalar_ns, star_simd_ns),
-        satisfy_scalar_ns,
-        satisfy_simd_ns,
-        satisfy_speedup: ratio(accelerated, satisfy_scalar_ns, satisfy_simd_ns),
-    }
-}
-
-/// Runs the SIMD tier timings over the synthetic wide closures.
-fn simd_section(calls: usize) -> SimdPerfSection {
-    let tier = simd::tier();
-    let mut parity = true;
-    let per_benchmark: Vec<SimdPerfRow> = [8u32, 9, 10]
-        .iter()
-        .map(|&max_len| simd_row(max_len, calls, &mut parity))
-        .collect();
-    SimdPerfSection {
-        tier: tier.label().to_string(),
-        accelerated: tier.is_accelerated(),
-        scalar_parity: parity,
-        geomean_concat_speedup: geomean(per_benchmark.iter().map(|r| r.concat_speedup)),
-        geomean_star_speedup: geomean(per_benchmark.iter().map(|r| r.star_speedup)),
-        geomean_satisfy_speedup: geomean(per_benchmark.iter().map(|r| r.satisfy_speedup)),
-        per_benchmark,
-    }
-}
-
 fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     let (sum, count) = values.fold((0.0f64, 0usize), |(s, c), v| (s + v.ln(), c + 1));
     if count == 0 {
@@ -489,9 +260,6 @@ pub fn run_perf(config: &HarnessConfig) -> PerfReport {
         .iter()
         .map(|b| kernel_row(&b.name, &b.spec, calls))
         .collect();
-    // The wide closures cost far more per operation than the Table 1
-    // closures; fewer calls keep the measurement rounds comparable.
-    let simd = simd_section((calls / 10).max(10));
 
     let specs: Vec<rei_lang::Spec> = pool.iter().map(|b| b.spec.clone()).collect();
     let threads = config.device_threads;
@@ -526,7 +294,6 @@ pub fn run_perf(config: &HarnessConfig) -> PerfReport {
         geomean_concat_speedup: geomean(kernels.iter().map(|k| k.concat_speedup)),
         geomean_star_speedup: geomean(kernels.iter().map(|k| k.star_speedup)),
         kernels,
-        simd,
         backends,
     }
 }
@@ -540,10 +307,10 @@ impl PerfReport {
     /// counters per backend: chunks claimed, chunks stolen, prefilter
     /// rejects (plus rate) and dedup overflow. v4 marks the document
     /// whose `service` section (owned by `reproduce serve`) carries the
-    /// sharded-pool breakdown and the disk-warm restart pass. v5 adds
-    /// `kernels.simd`: the runtime kernel-tier probe result, the
-    /// scalar-parity verdict and dispatched-vs-scalar speedups on
-    /// synthetic wide closures.
+    /// sharded-pool breakdown and the disk-warm restart pass. v5 added a
+    /// `kernels.simd` section for a lane-widened kernel tier; the tier
+    /// and the section are gone, and the schema name stays so readers of
+    /// the other sections keep working.
     pub fn to_json_value(&self) -> Json {
         Json::object([
             ("schema", Json::str("rei-bench/perf-v5")),
@@ -576,46 +343,6 @@ impl PerfReport {
                                 ("star_speedup", Json::fixed(k.star_speedup, 2)),
                             ])
                         })),
-                    ),
-                    (
-                        "simd",
-                        Json::object([
-                            ("tier", Json::str(&self.simd.tier)),
-                            ("accelerated", Json::Bool(self.simd.accelerated)),
-                            ("scalar_parity", Json::Bool(self.simd.scalar_parity)),
-                            (
-                                "geomean_concat_speedup",
-                                Json::fixed(self.simd.geomean_concat_speedup, 2),
-                            ),
-                            (
-                                "geomean_star_speedup",
-                                Json::fixed(self.simd.geomean_star_speedup, 2),
-                            ),
-                            (
-                                "geomean_satisfy_speedup",
-                                Json::fixed(self.simd.geomean_satisfy_speedup, 2),
-                            ),
-                            (
-                                "per_benchmark",
-                                Json::array(self.simd.per_benchmark.iter().map(|r| {
-                                    Json::object([
-                                        ("closure", Json::str(&r.closure)),
-                                        ("closure_size", Json::uint(r.closure_size as u64)),
-                                        ("blocks", Json::uint(r.blocks as u64)),
-                                        ("concat_lanes", Json::Bool(r.concat_lanes)),
-                                        ("concat_scalar_ns", Json::fixed(r.concat_scalar_ns, 1)),
-                                        ("concat_simd_ns", Json::fixed(r.concat_simd_ns, 1)),
-                                        ("concat_speedup", Json::fixed(r.concat_speedup, 2)),
-                                        ("star_scalar_ns", Json::fixed(r.star_scalar_ns, 1)),
-                                        ("star_simd_ns", Json::fixed(r.star_simd_ns, 1)),
-                                        ("star_speedup", Json::fixed(r.star_speedup, 2)),
-                                        ("satisfy_scalar_ns", Json::fixed(r.satisfy_scalar_ns, 1)),
-                                        ("satisfy_simd_ns", Json::fixed(r.satisfy_simd_ns, 1)),
-                                        ("satisfy_speedup", Json::fixed(r.satisfy_speedup, 2)),
-                                    ])
-                                })),
-                            ),
-                        ]),
                     ),
                 ]),
             ),
@@ -692,32 +419,6 @@ mod tests {
             assert!(k.concat_masked_ns > 0.0 && k.concat_gather_ns > 0.0);
             assert!(k.star_squared_ns > 0.0 && k.star_linear_ns > 0.0);
         }
-        let simd = &report.simd;
-        assert!(
-            simd.scalar_parity,
-            "dispatched kernels diverged from scalar"
-        );
-        assert_eq!(simd.accelerated, rei_lang::simd::tier().is_accelerated());
-        assert_eq!(simd.tier, rei_lang::simd::tier().label());
-        assert_eq!(simd.per_benchmark.len(), 3);
-        for row in &simd.per_benchmark {
-            assert!(
-                row.blocks >= 8,
-                "{}: too narrow to engage lanes",
-                row.closure
-            );
-            assert!(row.concat_scalar_ns > 0.0 && row.concat_simd_ns > 0.0);
-            assert!(row.star_scalar_ns > 0.0 && row.star_simd_ns > 0.0);
-            assert!(row.satisfy_scalar_ns > 0.0 && row.satisfy_simd_ns > 0.0);
-            if !simd.accelerated {
-                assert!(!row.concat_lanes);
-                assert_eq!(row.satisfy_speedup, 1.0);
-            }
-            if !row.concat_lanes {
-                assert_eq!(row.concat_speedup, 1.0);
-                assert_eq!(row.star_speedup, 1.0);
-            }
-        }
     }
 
     #[test]
@@ -760,29 +461,6 @@ mod tests {
             .and_then(Json::as_array)
             .unwrap()
             .is_empty());
-        let simd = kernels.get("simd").expect("kernels.simd section");
-        assert!(simd.get("tier").and_then(Json::as_str).is_some());
-        assert_eq!(simd.get("scalar_parity"), Some(&Json::Bool(true)));
-        for key in [
-            "geomean_concat_speedup",
-            "geomean_star_speedup",
-            "geomean_satisfy_speedup",
-        ] {
-            assert!(simd.get(key).unwrap().as_f64().is_some(), "missing {key}");
-        }
-        let rows = simd.get("per_benchmark").and_then(Json::as_array).unwrap();
-        assert_eq!(rows.len(), 3);
-        for row in rows {
-            for key in [
-                "closure",
-                "blocks",
-                "concat_lanes",
-                "concat_speedup",
-                "satisfy_speedup",
-            ] {
-                assert!(row.get(key).is_some(), "missing {key}: {row:?}");
-            }
-        }
     }
 
     #[test]

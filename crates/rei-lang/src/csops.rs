@@ -119,38 +119,11 @@ pub fn concat_word_bit(a: &[u64], b: &[u64], guide: &GuideTable, w: usize) -> bo
 /// result. Work is proportional to `popcount(a) ×` (entries per row)
 /// instead of `num_words ×` (splits per word).
 ///
-/// Dispatches to the SIMD kernel tier ([`crate::simd`]) when the runtime
-/// probe found one and the mask rows are long enough to fill lanes;
-/// [`concat_into_scalar`] is the portable path it is always bit-for-bit
-/// equal to.
-///
 /// # Panics
 ///
 /// Panics if `dst` or `b` is too short for the bit positions the mask
 /// table references.
 pub fn concat_into(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
-    concat_into_simd(dst, a, b, masks);
-}
-
-/// The explicitly accelerated concatenation entry point: the SIMD quad
-/// kernel when the probe allows it, [`concat_into_scalar`] otherwise.
-/// Public (next to the scalar variant) so benches and parity tests can
-/// pin each tier; [`concat_into`] is this function.
-pub fn concat_into_simd(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
-    if crate::simd::try_concat_into(dst, a, b, masks) {
-        return;
-    }
-    concat_into_scalar(dst, a, b, masks);
-}
-
-/// The portable scalar concatenation kernel — the semantics every
-/// accelerated path must match.
-///
-/// # Panics
-///
-/// Panics if `dst` or `b` is too short for the bit positions the mask
-/// table references.
-pub fn concat_into_scalar(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
     clear(dst);
     let num_left = masks.num_left();
     for (block, &word) in a.iter().enumerate() {
@@ -231,10 +204,6 @@ pub fn concat_into_unstaged(dst: &mut [u64], a: &[u64], b: &[u64], ic: &crate::I
 /// `scratch` must have the same length as `dst` and holds the
 /// intermediate squares.
 ///
-/// Dispatches like [`concat_into`]: the squaring rounds run on whichever
-/// kernel tier the runtime probe selected ([`star_into_scalar`] /
-/// [`star_into_simd`] pin a tier explicitly).
-///
 /// # Panics
 ///
 /// Panics if `dst` and `scratch` have different lengths.
@@ -245,53 +214,11 @@ pub fn star_into(
     eps_index: usize,
     scratch: &mut [u64],
 ) {
-    star_into_simd(dst, a, masks, eps_index, scratch);
-}
-
-/// [`star_into`] with every squaring round pinned to the accelerated
-/// concatenation ([`concat_into_simd`], which itself falls back to
-/// scalar when no tier is available).
-///
-/// # Panics
-///
-/// Panics if `dst` and `scratch` have different lengths.
-pub fn star_into_simd(
-    dst: &mut [u64],
-    a: &[u64],
-    masks: &GuideMasks,
-    eps_index: usize,
-    scratch: &mut [u64],
-) {
     assert_eq!(dst.len(), scratch.len(), "scratch must match dst length");
     copy_into(dst, a);
     set_bit(dst, eps_index);
     loop {
-        concat_into_simd(scratch, dst, dst, masks);
-        if equal(scratch, dst) {
-            return;
-        }
-        copy_into(dst, scratch);
-    }
-}
-
-/// [`star_into`] with every squaring round pinned to the scalar
-/// concatenation kernel — the reference the accelerated star must match.
-///
-/// # Panics
-///
-/// Panics if `dst` and `scratch` have different lengths.
-pub fn star_into_scalar(
-    dst: &mut [u64],
-    a: &[u64],
-    masks: &GuideMasks,
-    eps_index: usize,
-    scratch: &mut [u64],
-) {
-    assert_eq!(dst.len(), scratch.len(), "scratch must match dst length");
-    copy_into(dst, a);
-    set_bit(dst, eps_index);
-    loop {
-        concat_into_scalar(scratch, dst, dst, masks);
+        concat_into(scratch, dst, dst, masks);
         if equal(scratch, dst) {
             return;
         }
@@ -338,27 +265,8 @@ pub fn star_into_linear(
 
 /// Returns `true` if `row` satisfies the positive/negative masks:
 /// `(row & pos) == pos` and `(row & neg) == 0`.
-///
-/// Dispatches the fold to the SIMD tier on wide equal-length rows;
-/// [`satisfies_scalar`] is the reference it always agrees with.
 #[inline]
 pub fn satisfies(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
-    satisfies_simd(row, pos, neg)
-}
-
-/// The explicitly accelerated satisfaction fold (falls back to
-/// [`satisfies_scalar`] when no lane path applies).
-#[inline]
-pub fn satisfies_simd(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
-    match crate::simd::try_violations(row, pos, neg) {
-        Some(any_violation) => !any_violation,
-        None => satisfies_scalar(row, pos, neg),
-    }
-}
-
-/// The portable scalar satisfaction fold.
-#[inline]
-pub fn satisfies_scalar(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
     row.iter()
         .zip(pos)
         .zip(neg)
@@ -367,27 +275,8 @@ pub fn satisfies_scalar(row: &[u64], pos: &[u64], neg: &[u64]) -> bool {
 
 /// Number of example words misclassified by `row`: positive words missing
 /// from the language plus negative words present in it.
-///
-/// Dispatches the fold to the SIMD tier on wide equal-length rows;
-/// [`misclassified_scalar`] is the reference it always agrees with.
 #[inline]
 pub fn misclassified(row: &[u64], pos: &[u64], neg: &[u64]) -> usize {
-    misclassified_simd(row, pos, neg)
-}
-
-/// The explicitly accelerated misclassification count (falls back to
-/// [`misclassified_scalar`] when no lane path applies).
-#[inline]
-pub fn misclassified_simd(row: &[u64], pos: &[u64], neg: &[u64]) -> usize {
-    match crate::simd::try_misclassified(row, pos, neg) {
-        Some(count) => count,
-        None => misclassified_scalar(row, pos, neg),
-    }
-}
-
-/// The portable scalar misclassification count.
-#[inline]
-pub fn misclassified_scalar(row: &[u64], pos: &[u64], neg: &[u64]) -> usize {
     row.iter()
         .zip(pos)
         .zip(neg)
@@ -567,8 +456,7 @@ mod tests {
     }
 
     /// All binary words of length ≤ `max_len` — an infix-closed set whose
-    /// rows span `2^(max_len+1)/64` blocks, wide enough to engage every
-    /// lane kernel (8 blocks at `max_len = 8`).
+    /// rows span `2^(max_len+1)/64` blocks (8 at `max_len = 8`, 32 at 10).
     fn wide_closure(max_len: u32) -> InfixClosure {
         let words = (0..=max_len).flat_map(|len| {
             (0..(1u32 << len)).map(move |bits| {
@@ -578,78 +466,49 @@ mod tests {
         InfixClosure::of_words(words)
     }
 
-    /// Asserts every kernel's accelerated entry point agrees with its
-    /// scalar reference on the given operands.
-    fn assert_simd_parity(ic: &InfixClosure, gm: &GuideMasks, a: &Cs, b: &Cs) {
-        let width = ic.width();
-        let eps = ic.eps_index().unwrap();
-        let mut scalar = Cs::zero(width);
-        let mut simd = Cs::zero(width);
-        concat_into_scalar(scalar.blocks_mut(), a.blocks(), b.blocks(), gm);
-        concat_into_simd(simd.blocks_mut(), a.blocks(), b.blocks(), gm);
-        assert_eq!(scalar, simd, "concat tier mismatch");
-        let mut scratch = vec![0u64; width.blocks()];
-        star_into_scalar(scalar.blocks_mut(), a.blocks(), gm, eps, &mut scratch);
-        star_into_simd(simd.blocks_mut(), a.blocks(), gm, eps, &mut scratch);
-        assert_eq!(scalar, simd, "star tier mismatch");
-        for (row, pos, neg) in [(a, b, &scalar), (b, a, &simd), (&scalar, a, b)] {
-            assert_eq!(
-                satisfies_scalar(row.blocks(), pos.blocks(), neg.blocks()),
-                satisfies_simd(row.blocks(), pos.blocks(), neg.blocks()),
-                "satisfy fold tier mismatch"
-            );
-            assert_eq!(
-                misclassified_scalar(row.blocks(), pos.blocks(), neg.blocks()),
-                misclassified_simd(row.blocks(), pos.blocks(), neg.blocks()),
-                "misclassified fold tier mismatch"
-            );
-        }
-    }
-
     #[test]
-    fn simd_tier_matches_scalar_on_wide_closures() {
-        // 8 blocks per row: the AVX2 fold quads and the concat quad rows
-        // genuinely engage here (on hosts whose probe finds a tier; on
-        // scalar hosts the accelerated entry points fall back and the
-        // assertions hold trivially — the force-scalar env knob produces
-        // exactly that configuration).
-        let ic = wide_closure(8);
-        assert!(ic.width().blocks() >= 8);
-        let gm = GuideMasks::build(&ic);
-        for (ea, eb) in [
-            ("(0+1)*", "(0?1)*"),
-            ("0(0+1)*", "1"),
-            ("(01)*", "(10)*0?"),
-            ("∅", "(0+1)*"),
-            ("ε", "11(0+1)*"),
-        ] {
-            let a = ic.cs_of_regex(&parse(ea).unwrap());
-            let b = ic.cs_of_regex(&parse(eb).unwrap());
-            assert_simd_parity(&ic, &gm, &a, &b);
-        }
-    }
-
-    proptest! {
-        /// SIMD ≡ scalar for concat, star and the satisfy folds on random
-        /// closures and operands — covering narrow rows (scalar fallback
-        /// inside the accelerated entry points) and multi-block rows
-        /// (lanes engaged) alike.
-        #[test]
-        fn simd_tier_matches_scalar_on_random_closures(
-            words in proptest::collection::vec("[01]{0,8}", 1..24),
-            ea in "[01+*?]{1,6}",
-            eb in "[01+*?]{1,6}",
-        ) {
-            let (ra, rb) = match (parse(&ea), parse(&eb)) {
-                (Ok(a), Ok(b)) => (a, b),
-                _ => return Ok(()),
-            };
-            let ic = InfixClosure::of_words(words.iter().map(|s| Word::from(s.as_str())));
-            if ic.is_empty() { return Ok(()); }
+    fn kernels_match_references_on_wide_closures() {
+        // Multi-block rows: mask entries whose right and target blocks
+        // differ, and shifts that carry bits across block boundaries.
+        // Concat is checked against the pair-table gather, star against
+        // the linear iteration, and the folds against a per-bit count.
+        for max_len in [8, 9, 10] {
+            let ic = wide_closure(max_len);
+            assert!(ic.width().blocks() >= 8);
+            let gt = GuideTable::build(&ic);
             let gm = GuideMasks::build(&ic);
-            let a = ic.cs_of_regex(&ra);
-            let b = ic.cs_of_regex(&rb);
-            assert_simd_parity(&ic, &gm, &a, &b);
+            let width = ic.width();
+            let eps = ic.eps_index().unwrap();
+            let mut scratch = vec![0u64; width.blocks()];
+            for (ea, eb) in [
+                ("(0+1)*", "(0?1)*"),
+                ("0(0+1)*", "1"),
+                ("(01)*", "(10)*0?"),
+                ("∅", "(0+1)*"),
+                ("ε", "11(0+1)*"),
+            ] {
+                let a = ic.cs_of_regex(&parse(ea).unwrap());
+                let b = ic.cs_of_regex(&parse(eb).unwrap());
+                let mut got = Cs::zero(width);
+                let mut want = Cs::zero(width);
+                concat_into(got.blocks_mut(), a.blocks(), b.blocks(), &gm);
+                concat_into_gather(want.blocks_mut(), a.blocks(), b.blocks(), &gt);
+                assert_eq!(got, want, "{ea} · {eb} over len ≤ {max_len}");
+                star_into(got.blocks_mut(), a.blocks(), &gm, eps, &mut scratch);
+                star_into_linear(want.blocks_mut(), a.blocks(), &gt, eps, &mut scratch);
+                assert_eq!(got, want, "({ea})* over len ≤ {max_len}");
+                for (row, pos, neg) in [(&a, &b, &got), (&b, &a, &want), (&got, &a, &b)] {
+                    let wrong = (0..ic.len())
+                        .filter(|&i| {
+                            let r = row.get(i);
+                            (pos.get(i) && !r) || (neg.get(i) && r)
+                        })
+                        .count();
+                    let (row, pos, neg) = (row.blocks(), pos.blocks(), neg.blocks());
+                    assert_eq!(misclassified(row, pos, neg), wrong);
+                    assert_eq!(satisfies(row, pos, neg), wrong == 0);
+                }
+            }
         }
     }
 

@@ -197,282 +197,6 @@ pub struct GuideMasks {
     offsets: Vec<u32>,
     /// Flattened mask entries, grouped by left index.
     entries: Vec<MaskEntry>,
-    /// The same entries re-staged as funnel segments plus scalar
-    /// leftovers (see [`FunnelSeg`]), built once so the SIMD
-    /// concatenation kernel runs on contiguous loads and stores instead
-    /// of gathering per entry.
-    simd: SimdEntries,
-}
-
-/// Segments shorter than this stay on the scalar entry path: the kernel
-/// steps four target blocks per AVX2 iteration, so anything narrower
-/// cannot fill one vector step, and measurement shows the SSE pair step
-/// plus scalar tail never beats the entry kernel's load-test early-out
-/// on runs that short.
-pub(crate) const MIN_SEG_TARGETS: usize = 4;
-
-/// One vectorizable *funnel segment* of a mask row: `len` consecutive
-/// target blocks whose source bits sit at one constant bit distance
-/// `d = 64·q + s` in the right operand, so each target block is
-///
-/// ```text
-/// dst[t] |= ((b[t − q] & low_mask[t]) << s)
-///         | ((b[t − q − 1] & high_mask[t]) >> (64 − s))
-/// ```
-///
-/// — the classic funnel shift over a contiguous block range. Shortlex
-/// closure order makes `r → l·r` order-preserving within a length group,
-/// so the [`MaskEntry`] rows of wide closures decompose almost entirely
-/// into such segments; staging finds them by grouping entries on `d` and
-/// scanning for target-block runs. Consecutive targets read consecutive
-/// right blocks, so the SIMD kernel processes four targets per step with
-/// two unaligned loads, one broadcast shift pair, and no gather or
-/// scatter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FunnelSeg {
-    /// First target block of the segment.
-    pub(crate) t0: u32,
-    /// Right block feeding the low lane of `t0` (`t0 − q`). At `s > 0`
-    /// the high lane of `t0` reads block `rb0 − 1`, and staging trims the
-    /// segment's front so that is never negative; at `s = 0` every high
-    /// mask is zero, the kernel takes an aligned copy loop that never
-    /// touches the high lane, and no front trim is needed.
-    pub(crate) rb0: u32,
-    /// Funnel bit shift `s`, in `0..64`. A group lands on `s = 0` exactly
-    /// when its entries are block-aligned copies (`shift == 0`).
-    pub(crate) s: u32,
-    /// Number of consecutive target blocks covered.
-    pub(crate) len: u32,
-    /// Start of this segment's masks in the low/high mask arrays.
-    pub(crate) at: u32,
-}
-
-/// The funnel-segment staging of the [`MaskEntry`] rows, consumed by the
-/// SIMD tier ([`crate::simd`]): per left index a list of [`FunnelSeg`]s
-/// covering the entries that fall into target runs of at least
-/// [`MIN_SEG_TARGETS`] blocks, plus the *leftover* entries (short runs,
-/// trimmed edges, irregular offsets) which the kernel applies scalar.
-/// Together the segments and leftovers cover each row's entries exactly
-/// once, so applying both is bit-for-bit the scalar row application.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SimdEntries {
-    /// One bit per left index: set when the row has at least one
-    /// segment. Rows without segments are served straight from the
-    /// original entry table — same arrays, same access pattern as the
-    /// scalar kernel — so the staging stores nothing for them and this
-    /// bitmap is the only per-row cost the kernel pays.
-    seg_rows: Vec<u64>,
-    /// `seg_offsets[l]..seg_offsets[l + 1]` indexes `segs`.
-    seg_offsets: Vec<u32>,
-    segs: Vec<FunnelSeg>,
-    /// Per-target-block funnel masks, indexed by [`FunnelSeg::at`]. A
-    /// zero mask means the target has no source bits on that lane.
-    low_masks: Vec<u64>,
-    high_masks: Vec<u64>,
-    /// `leftover_offsets[l]..leftover_offsets[l + 1]` indexes
-    /// `leftovers`: the entries of *segment rows* not absorbed into any
-    /// segment. Empty ranges for rows without segments (their entries
-    /// stay in the main table only).
-    leftover_offsets: Vec<u32>,
-    leftovers: Vec<MaskEntry>,
-    /// Exclusive upper bounds over every block index the kernel can read
-    /// (right operand) or write (result), for one up-front bounds check
-    /// before the unchecked vector loads.
-    right_blocks_end: usize,
-    target_blocks_end: usize,
-}
-
-impl SimdEntries {
-    fn build(offsets: &[u32], entries: &[MaskEntry]) -> Self {
-        let mut simd = SimdEntries {
-            seg_offsets: vec![0],
-            leftover_offsets: vec![0],
-            ..SimdEntries::default()
-        };
-        // (bit distance d, target block, index into the row) per entry;
-        // sorting groups equal distances and orders targets within one.
-        let mut keyed: Vec<(i64, u32, u32)> = Vec::new();
-        let mut absorbed: Vec<bool> = Vec::new();
-        simd.seg_rows = vec![0; offsets.len().saturating_sub(1).div_ceil(64)];
-        for (l, window) in offsets.windows(2).enumerate() {
-            let row = &entries[window[0] as usize..window[1] as usize];
-            keyed.clear();
-            for (i, e) in row.iter().enumerate() {
-                simd.right_blocks_end = simd.right_blocks_end.max(e.right_block as usize + 1);
-                simd.target_blocks_end = simd.target_blocks_end.max(e.target_block as usize + 1);
-                let d = 64 * (e.target_block as i64 - e.right_block as i64) + e.shift as i64;
-                keyed.push((d, e.target_block, i as u32));
-            }
-            keyed.sort_unstable();
-            absorbed.clear();
-            absorbed.resize(row.len(), false);
-            let seg_start = simd.segs.len();
-            let mut gi = 0;
-            while gi < keyed.len() {
-                let d = keyed[gi].0;
-                let mut ge = gi;
-                while ge < keyed.len() && keyed[ge].0 == d {
-                    ge += 1;
-                }
-                let s = d.rem_euclid(64);
-                let q = (d - s) / 64;
-                simd.stage_group(row, &keyed[gi..ge], q, s as u32, &mut absorbed);
-                gi = ge;
-            }
-            if simd.row_profitable(seg_start, &absorbed) {
-                simd.seg_rows[l / 64] |= 1 << (l % 64);
-                for (i, e) in row.iter().enumerate() {
-                    if !absorbed[i] {
-                        simd.leftovers.push(*e);
-                    }
-                }
-            } else {
-                // Roll the row's segments back; the kernel serves it
-                // from the main entry table like the scalar kernel.
-                let mask_start = simd.segs[seg_start..]
-                    .first()
-                    .map_or(simd.low_masks.len(), |seg| seg.at as usize);
-                simd.segs.truncate(seg_start);
-                simd.low_masks.truncate(mask_start);
-                simd.high_masks.truncate(mask_start);
-            }
-            simd.seg_offsets.push(simd.segs.len() as u32);
-            simd.leftover_offsets.push(simd.leftovers.len() as u32);
-        }
-        simd
-    }
-
-    /// Decides whether the segments staged for the current row (from
-    /// `seg_start` on) beat running the whole row scalar, on a small
-    /// per-op cost model: a scalar entry costs ~3 ops thanks to its
-    /// load-test early-out (sparse right operands skip most entries
-    /// after one test), a vector step covers four blocks for ~1.5 ops
-    /// each aligned / ~2.5 funneled, each segment carries its occupancy
-    /// range test, and the staged row pays the `target_feature` call
-    /// boundary. The setup constants are deliberately pessimistic —
-    /// measured against operands the staging cannot see — so only rows
-    /// whose segments clearly dominate leave the scalar path. Rows with
-    /// short, sparse segments — common on narrow closures — lose to
-    /// setup and stay scalar.
-    fn row_profitable(&self, seg_start: usize, absorbed: &[bool]) -> bool {
-        const ENTRY_COST: usize = 6; // scalar ops per absorbed entry, ×2
-        const ROW_SETUP: usize = 40;
-        const SEG_SETUP: usize = 16;
-        const BLOCK_ALIGNED: usize = 3;
-        const BLOCK_FUNNEL: usize = 5;
-        if self.segs.len() == seg_start {
-            return false;
-        }
-        let scalar_cost = absorbed.iter().filter(|&&a| a).count() * ENTRY_COST;
-        let mut vector_cost = ROW_SETUP;
-        for seg in &self.segs[seg_start..] {
-            let per_block = if seg.s == 0 {
-                BLOCK_ALIGNED
-            } else {
-                BLOCK_FUNNEL
-            };
-            vector_cost += SEG_SETUP + seg.len as usize * per_block;
-        }
-        vector_cost < scalar_cost
-    }
-
-    /// Scans one equal-distance group (sorted by target block) for runs
-    /// of consecutive targets and stages every run of at least
-    /// [`MIN_SEG_TARGETS`] blocks as a [`FunnelSeg`], marking its entries
-    /// absorbed. `group` elements are `(d, target_block, row index)`.
-    fn stage_group(
-        &mut self,
-        row: &[MaskEntry],
-        group: &[(i64, u32, u32)],
-        q: i64,
-        s: u32,
-        absorbed: &mut [bool],
-    ) {
-        let mut si = 0;
-        while si < group.len() {
-            let mut se = si + 1;
-            let mut last_t = group[si].1;
-            while se < group.len() && group[se].1 <= last_t + 1 {
-                last_t = group[se].1;
-                se += 1;
-            }
-            let stretch = &group[si..se];
-            si = se;
-
-            let mut t_first = stretch[0].1 as i64;
-            let mut t_last = last_t as i64;
-            // At `s > 0` the first target's high lane reads block
-            // `t_first − q − 1`; trim the front so the kernel never
-            // loads below block 0. Aligned segments (`s = 0`, every
-            // entry `shift == 0`) never touch the high lane, and their
-            // low reads start at a real entry's block, so they need no
-            // trim.
-            if s > 0 && t_first - q - 1 < 0 {
-                t_first += 1;
-            }
-            // The kernel's low lane reads up to block `t_last − q`
-            // whether or not that target has low-lane bits; trim the
-            // back until it does, so the loads stay within the blocks
-            // real entries reference (and hence within the pre-checked
-            // bounds). A no-op at `s = 0`, where every entry is low.
-            while t_last >= t_first
-                && !stretch
-                    .iter()
-                    .any(|&(_, t, i)| t as i64 == t_last && row[i as usize].shift >= 0)
-            {
-                t_last -= 1;
-            }
-            let len = t_last - t_first + 1;
-            if len < MIN_SEG_TARGETS as i64 {
-                continue;
-            }
-
-            let at = self.low_masks.len();
-            self.low_masks.resize(at + len as usize, 0);
-            self.high_masks.resize(at + len as usize, 0);
-            for &(_, t, i) in stretch {
-                let t = t as i64;
-                if t < t_first || t > t_last {
-                    continue;
-                }
-                let entry = &row[i as usize];
-                let slot = at + (t - t_first) as usize;
-                if entry.shift >= 0 {
-                    self.low_masks[slot] |= entry.right_mask;
-                } else {
-                    self.high_masks[slot] |= entry.right_mask;
-                }
-                absorbed[i as usize] = true;
-            }
-            self.segs.push(FunnelSeg {
-                t0: t_first as u32,
-                rb0: (t_first - q) as u32,
-                s,
-                len: len as u32,
-                at: at as u32,
-            });
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        (self.seg_offsets.len() + self.leftover_offsets.len()) * std::mem::size_of::<u32>()
-            + self.segs.len() * std::mem::size_of::<FunnelSeg>()
-            + (self.seg_rows.len() + self.low_masks.len() + self.high_masks.len())
-                * std::mem::size_of::<u64>()
-            + self.leftovers.len() * std::mem::size_of::<MaskEntry>()
-    }
-}
-
-/// Borrowed funnel-staged view of one left index's mask entries,
-/// consumed by the SIMD concatenation kernel: the row's segments (whose
-/// `at` fields index the table-wide mask arrays) and its scalar
-/// leftovers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SimdRow<'a> {
-    pub(crate) segs: &'a [FunnelSeg],
-    pub(crate) low_masks: &'a [u64],
-    pub(crate) high_masks: &'a [u64],
-    pub(crate) leftovers: &'a [MaskEntry],
 }
 
 impl GuideMasks {
@@ -532,67 +256,7 @@ impl GuideMasks {
             }
             offsets.push(entries.len() as u32);
         }
-        let simd = SimdEntries::build(&offsets, &entries);
-        GuideMasks {
-            offsets,
-            entries,
-            simd,
-        }
-    }
-
-    /// The funnel-staged view of left index `l`'s entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= self.num_left()`.
-    pub(crate) fn simd_row(&self, l: usize) -> SimdRow<'_> {
-        SimdRow {
-            segs: &self.simd.segs
-                [self.simd.seg_offsets[l] as usize..self.simd.seg_offsets[l + 1] as usize],
-            low_masks: &self.simd.low_masks,
-            high_masks: &self.simd.high_masks,
-            leftovers: &self.simd.leftovers[self.simd.leftover_offsets[l] as usize
-                ..self.simd.leftover_offsets[l + 1] as usize],
-        }
-    }
-
-    /// `true` when funnel staging found at least one profitable segment,
-    /// i.e. the lane concatenation kernel actually engages on this
-    /// closure (given an accelerated tier). When `false` the dispatched
-    /// kernel falls straight back to the scalar walk — narrow closures
-    /// whose longest runs lose to segment setup stage nothing, by
-    /// design. Benchmarks use this to pin the speedup of a disengaged
-    /// closure to exactly 1.0 instead of recording measurement noise.
-    pub fn simd_has_segments(&self) -> bool {
-        !self.simd.segs.is_empty()
-    }
-
-    /// `true` when left index `l`'s row has funnel segments. The kernel
-    /// reads whole bitmap words via [`Self::simd_seg_rows_word`]; this
-    /// per-row view exists for the staging invariant checks.
-    #[cfg(test)]
-    pub(crate) fn simd_row_has_segments(&self, l: usize) -> bool {
-        self.simd.seg_rows[l / 64] & (1 << (l % 64)) != 0
-    }
-
-    /// One word of the segment-row bitmap, aligned with block `block` of
-    /// a left-operand row (bit `l % 64` of word `l / 64` marks left
-    /// index `l`): the kernel partitions each operand word into
-    /// scalar-path and segment-path rows with two ANDs instead of a
-    /// per-row test. Zero beyond the bitmap (padding rows are scalar).
-    #[inline]
-    pub(crate) fn simd_seg_rows_word(&self, block: usize) -> u64 {
-        self.simd.seg_rows.get(block).copied().unwrap_or(0)
-    }
-
-    /// `true` when every block index the SIMD kernel can touch — the
-    /// funnel loads from the right operand (bounded by the rightmost
-    /// low-lane entry block, which segment staging guarantees) and the
-    /// stores into the result — is in bounds for the given slice lengths.
-    /// The one up-front check that lets the kernel run unchecked vector
-    /// loads.
-    pub(crate) fn simd_bounds_ok(&self, dst_len: usize, b_len: usize) -> bool {
-        self.simd.right_blocks_end <= b_len && self.simd.target_blocks_end <= dst_len
+        GuideMasks { offsets, entries }
     }
 
     /// Number of left indices covered (the size of the closure).
@@ -630,12 +294,10 @@ impl GuideMasks {
             .sum()
     }
 
-    /// Approximate memory footprint of the table in bytes, including the
-    /// staged SoA mirror consumed by the SIMD tier.
+    /// Approximate memory footprint of the table in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
             + self.entries.len() * std::mem::size_of::<MaskEntry>()
-            + self.simd.memory_bytes()
     }
 }
 
@@ -775,130 +437,13 @@ mod tests {
         let gm = GuideMasks::build(&InfixClosure::of_words(Vec::new()));
         assert!(gm.is_empty());
         assert_eq!(gm.total_entries(), 0);
-        assert!(!gm.simd_has_segments());
-        // One sentinel offset for the entry table, two for the funnel
-        // staging (segments and leftovers).
-        assert_eq!(gm.memory_bytes(), 3 * std::mem::size_of::<u32>());
-    }
-
-    /// Expands the funnel staging (segments plus leftovers) back into the
-    /// `(l, r, w)` split set it encodes.
-    fn expand_simd(gm: &GuideMasks) -> Vec<(u32, u32, u32)> {
-        let mut splits = Vec::new();
-        for l in 0..gm.num_left() {
-            let simd = gm.simd_row(l);
-            assert_eq!(gm.simd_row_has_segments(l), !simd.segs.is_empty());
-            if simd.segs.is_empty() {
-                assert!(
-                    simd.leftovers.is_empty(),
-                    "segment-free rows store no leftovers"
-                );
-            }
-            for seg in simd.segs {
-                assert!(seg.len as usize >= MIN_SEG_TARGETS, "segment too short");
-                assert!(seg.s < 64);
-                assert!(seg.s == 0 || seg.rb0 > 0, "unaligned front must be trimmed");
-                // w − r for every split of this segment.
-                let d = 64 * (seg.t0 as i64 - seg.rb0 as i64) + seg.s as i64;
-                for i in 0..seg.len {
-                    let at = (seg.at + i) as usize;
-                    let low = simd.low_masks[at];
-                    let high = simd.high_masks[at];
-                    assert!(seg.s > 0 || high == 0, "aligned segments are low-only");
-                    if i + 1 == seg.len {
-                        assert_ne!(low, 0, "last target must read a real low block");
-                    }
-                    for (mask, rb) in [
-                        (low, (seg.rb0 + i) as i64),
-                        (high, (seg.rb0 + i) as i64 - 1),
-                    ] {
-                        let mut bits = mask;
-                        while bits != 0 {
-                            let r = rb * 64 + bits.trailing_zeros() as i64;
-                            bits &= bits - 1;
-                            splits.push((l as u32, r as u32, (r + d) as u32));
-                        }
-                    }
-                }
-            }
-            // Segment rows keep their unabsorbed entries in the leftover
-            // table; segment-free rows are served from the main table.
-            let scalar_entries = if simd.segs.is_empty() {
-                gm.row(l)
-            } else {
-                simd.leftovers
-            };
-            for entry in scalar_entries {
-                let mut bits = entry.right_mask;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros() as i32;
-                    bits &= bits - 1;
-                    let r = entry.right_block * 64 + bit as u32;
-                    let w = entry.target_block * 64 + (bit + entry.shift as i32) as u32;
-                    splits.push((l as u32, r, w));
-                }
-            }
-        }
-        splits.sort_unstable();
-        splits
-    }
-
-    #[test]
-    fn funnel_staging_covers_exactly_the_entry_splits() {
-        let spec =
-            Spec::from_strs(["1", "011", "1011", "11011"], ["", "10", "101", "0011"]).unwrap();
-        let ic = InfixClosure::of_spec(&spec);
-        let gm = GuideMasks::build(&ic);
-        let blocks = ic.width().blocks();
-        assert!(gm.simd_bounds_ok(blocks, blocks));
-        assert!(!gm.simd_bounds_ok(0, blocks), "entries reference block 0");
-        assert_eq!(expand_simd(&gm), expand_masks(&gm));
-    }
-
-    #[test]
-    fn wide_closures_stage_long_funnel_segments() {
-        // All binary words up to length 10: rows span 32 blocks and the
-        // shortlex order makes `r → l·r` contiguous per length group, so
-        // the splits of block-spanning length groups land in
-        // vectorizable segments. The profitability gate keeps only rows
-        // whose segments clearly beat the scalar entry walk — a handful
-        // of short-left rows with long runs; everything else stays
-        // scalar by design. Narrower closures (≤ 8 blocks) stage nothing
-        // at all: their longest runs lose to segment setup.
-        let wide = |max_len: u32| {
-            let words: Vec<Word> = (0..=max_len)
-                .flat_map(|len| {
-                    (0..(1u32 << len)).map(move |bits| {
-                        Word::new((0..len).map(|i| if bits >> i & 1 == 1 { '1' } else { '0' }))
-                    })
-                })
-                .collect();
-            GuideMasks::build(&InfixClosure::of_words(words))
-        };
-        let gm = wide(10);
-        assert!(gm.simd_has_segments());
-        assert_eq!(expand_simd(&gm), expand_masks(&gm));
-        let longest = (0..gm.num_left())
-            .flat_map(|l| gm.simd_row(l).segs)
-            .map(|seg| seg.len)
-            .max()
-            .unwrap();
-        // The ε row is one aligned copy of the whole closure — the gate
-        // must keep a segment spanning (most of) its 32 blocks.
-        assert!(
-            longest >= 16,
-            "longest staged segment only {longest} blocks"
-        );
-        assert!(
-            !wide(7).simd_has_segments(),
-            "narrow closures must stay scalar"
-        );
+        // Just the one sentinel offset.
+        assert_eq!(gm.memory_bytes(), std::mem::size_of::<u32>());
     }
 
     proptest! {
         /// The mask table and the pair table encode the same split
-        /// relation on random closures — and the funnel staging encodes
-        /// the same splits as the entry rows it was derived from.
+        /// relation on random closures.
         #[test]
         fn masks_agree_with_table_on_random_closures(
             words in proptest::collection::vec("[01]{0,6}", 1..5)
@@ -907,7 +452,6 @@ mod tests {
             let gt = GuideTable::build(&ic);
             let gm = GuideMasks::build(&ic);
             prop_assert_eq!(expand_masks(&gm), expand_table(&gt));
-            prop_assert_eq!(expand_simd(&gm), expand_masks(&gm));
         }
     }
 

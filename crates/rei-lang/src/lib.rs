@@ -24,10 +24,8 @@
 //!   over only the set bits of the left operand (see [`csops::concat_into`]).
 //! * [`SatisfyMasks`] — the pair of bit masks used to check `L ⊨ (P, N)`
 //!   with two bitwise operations.
-//! * [`simd`] — the runtime-probed SIMD kernel tier behind the block
-//!   kernels: AVX2 (and a NEON fold path) widenings of concatenation,
-//!   star and the satisfaction folds, with the scalar kernels kept as
-//!   the always-correct fallback and reference semantics.
+//! * [`csops`] — the block kernels over those rows. Each operation has
+//!   one safe scalar implementation: a plain loop over `u64` blocks.
 //!
 //! # Example
 //!
@@ -40,9 +38,7 @@
 //! assert_eq!(ic.len(), 15);
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module (and only it) opts back
-// in for `std::arch` intrinsics behind the runtime feature probe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alphabet;
@@ -52,7 +48,6 @@ mod error;
 mod guide;
 mod infix;
 mod satisfy;
-pub mod simd;
 mod spec;
 mod word;
 
@@ -62,6 +57,5 @@ pub use error::SpecError;
 pub use guide::{GuideMasks, GuideTable, MaskEntry};
 pub use infix::InfixClosure;
 pub use satisfy::{AdmissionPrefilter, SatisfyMasks};
-pub use simd::KernelTier;
 pub use spec::{fnv1a, Spec};
 pub use word::Word;

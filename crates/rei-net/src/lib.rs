@@ -70,4 +70,4 @@ mod server;
 mod signal;
 
 pub use server::{generate_session_name, session_verb_line, NetConfig, NetServer};
-pub use signal::{install_shutdown_signals, install_sigint, shutdown_tripped, sigint_tripped};
+pub use signal::{install_shutdown_signals, shutdown_tripped};

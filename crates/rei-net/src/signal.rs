@@ -28,11 +28,6 @@ mod imp {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
-    #[cfg(test)]
-    extern "C" {
-        fn raise(signum: i32) -> i32;
-    }
-
     pub fn install() {
         // SAFETY: `signal` with a handler that only stores an atomic is
         // the POSIX-sanctioned minimal use; the handler never unwinds.
@@ -45,18 +40,6 @@ mod imp {
     pub fn tripped() -> bool {
         TRIPPED.load(Ordering::SeqCst)
     }
-
-    #[cfg(test)]
-    pub fn self_raise(signum: i32) {
-        // SAFETY: raising a handled signal at ourselves is the standard
-        // way to test a handler.
-        unsafe {
-            raise(signum);
-        }
-    }
-
-    #[cfg(test)]
-    pub const TEST_SIGTERM: i32 = SIGTERM;
 }
 
 #[cfg(not(unix))]
@@ -75,34 +58,8 @@ pub fn install_shutdown_signals() {
     imp::install();
 }
 
-/// Backwards-compatible alias of [`install_shutdown_signals`] (the hook
-/// predates SIGTERM handling and was named for SIGINT alone).
-pub fn install_sigint() {
-    install_shutdown_signals();
-}
-
 /// Whether a shutdown signal (SIGINT or SIGTERM) has fired since
 /// [`install_shutdown_signals`].
 pub fn shutdown_tripped() -> bool {
     imp::tripped()
-}
-
-/// Backwards-compatible alias of [`shutdown_tripped`].
-pub fn sigint_tripped() -> bool {
-    shutdown_tripped()
-}
-
-#[cfg(all(test, unix))]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sigterm_trips_the_shutdown_flag() {
-        install_shutdown_signals();
-        assert!(!shutdown_tripped(), "clean before any signal");
-        imp::self_raise(imp::TEST_SIGTERM);
-        assert!(shutdown_tripped(), "SIGTERM takes the graceful path");
-        // The legacy name observes the same flag.
-        assert!(sigint_tripped());
-    }
 }

@@ -358,7 +358,6 @@ impl WalStore {
         config_wire: &str,
         options: WalOptions,
     ) -> Result<(WalStore, Vec<Record>, RecoveryReport), String> {
-        migrate_legacy_file(root)?;
         fs::create_dir_all(root)
             .map_err(|err| format!("cannot create cache directory {}: {err}", root.display()))?;
         let (mut manifest, authoritative) = match Manifest::load(root) {
@@ -609,32 +608,6 @@ fn clean_orphans(root: &Path, manifest: &Manifest) {
     }
 }
 
-/// Adopts a pre-segmentation single-file cache: the old append-only JSONL
-/// at `root` becomes segment 1 of a new store directory at the same path.
-fn migrate_legacy_file(root: &Path) -> Result<(), String> {
-    match fs::symlink_metadata(root) {
-        Ok(meta) if meta.is_file() => {}
-        _ => return Ok(()),
-    }
-    let fail = |err: io::Error| format!("cannot migrate legacy cache {}: {err}", root.display());
-    let stash = root.with_extension("legacy-migrate");
-    fs::rename(root, &stash).map_err(fail)?;
-    fs::create_dir_all(root).map_err(fail)?;
-    fs::rename(&stash, segment_path(root, 1)).map_err(fail)?;
-    let manifest = Manifest {
-        checkpoint: None,
-        segments: vec![1],
-        next: 2,
-    };
-    manifest.store(root).map_err(fail)?;
-    rei_obs::log::info(
-        "cache",
-        "migrated legacy single-file cache into the segmented layout",
-        &[("path", root.display().to_string())],
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::test_support::*;
@@ -734,21 +707,13 @@ mod tests {
     }
 
     #[test]
-    fn a_legacy_single_file_cache_is_migrated_in_place() {
-        let root = temp_root("legacy").join("results");
+    fn a_single_file_at_the_store_path_fails_the_open() {
+        let root = temp_root("single-file").join("results");
         fs::create_dir_all(root.parent().unwrap()).unwrap();
-        fs::write(
-            &root,
-            format!("{}\n", line_of("legacy-spec", "cfg", "0*", 7)),
-        )
-        .unwrap();
-        let (store, report) = open_store(&root, WalOptions::default());
-        assert_eq!(report.loaded, 1, "the legacy record survives migration");
-        assert!(root.is_dir(), "the file became a store directory");
-        assert!(store.append("new-spec", "0*", 1));
-        drop(store);
-        let (_store, report) = open_store(&root, WalOptions::default());
-        assert_eq!(report.loaded, 2);
+        fs::write(&root, format!("{}\n", line_of("spec", "cfg", "0*", 7))).unwrap();
+        let err = WalStore::open(&root, "cfg", WalOptions::default()).unwrap_err();
+        assert!(err.starts_with("cannot create cache directory"), "{err}");
+        assert!(root.is_file(), "the file is left untouched");
         cleanup(root.parent().unwrap());
     }
 

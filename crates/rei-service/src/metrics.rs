@@ -41,8 +41,6 @@ pub(crate) struct Metrics {
     pub refine_unchanged: AtomicU64,
     pub refine_warm: AtomicU64,
     pub refine_cold: AtomicU64,
-    pub wait_ns: AtomicU64,
-    pub run_ns: AtomicU64,
     pub wait_hist: Histogram,
     pub run_hist: Histogram,
     pub e2e_hist: Histogram,
@@ -70,20 +68,13 @@ impl Metrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn add_duration(counter: &AtomicU64, duration: Duration) {
-        let nanos = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-        counter.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Accounts one job's queue wait: total plus histogram sample.
+    /// Accounts one job's queue wait.
     pub fn note_wait(&self, waited: Duration) {
-        Metrics::add_duration(&self.wait_ns, waited);
         self.wait_hist.record_duration(waited);
     }
 
     /// Accounts one run's synthesis wall-clock.
     pub fn note_run(&self, ran: Duration) {
-        Metrics::add_duration(&self.run_ns, ran);
         self.run_hist.record_duration(ran);
     }
 
@@ -154,8 +145,6 @@ impl Metrics {
             refine_unchanged: load(&self.refine_unchanged),
             refine_warm: load(&self.refine_warm),
             refine_cold: load(&self.refine_cold),
-            wait_total: Duration::from_nanos(load(&self.wait_ns)),
-            run_total: Duration::from_nanos(load(&self.run_ns)),
             wait: self.wait_hist.snapshot(),
             run: self.run_hist.snapshot(),
             e2e: self.e2e_hist.snapshot(),
@@ -267,10 +256,6 @@ pub struct MetricsSnapshot {
     /// Refines that fell back to a cold run (spec not a strengthening,
     /// alphabet/budget change, closure growth, no retained state).
     pub refine_cold: u64,
-    /// Total queue wait across fresh jobs.
-    pub wait_total: Duration,
-    /// Total synthesis wall-clock across fresh jobs.
-    pub run_total: Duration,
     /// Queue-wait latency distribution (nanosecond samples, one per
     /// fresh job) — the percentile source for `latency_ms.wait_p*`.
     pub wait: HistogramSnapshot,
@@ -372,8 +357,6 @@ impl MetricsSnapshot {
         self.refine_unchanged += other.refine_unchanged;
         self.refine_warm += other.refine_warm;
         self.refine_cold += other.refine_cold;
-        self.wait_total += other.wait_total;
-        self.run_total += other.run_total;
         self.wait.merge(&other.wait);
         self.run.merge(&other.run);
         self.e2e.merge(&other.e2e);
@@ -396,16 +379,6 @@ impl MetricsSnapshot {
         self.queue_capacity += other.queue_capacity;
         self.cache_entries += other.cache_entries;
         self.cache_capacity += other.cache_capacity;
-    }
-
-    /// Mean queue wait of fresh jobs.
-    pub fn mean_wait(&self) -> Duration {
-        checked_div(self.wait_total, self.completed)
-    }
-
-    /// Mean synthesis wall-clock of fresh jobs.
-    pub fn mean_run(&self) -> Duration {
-        checked_div(self.run_total, self.completed)
     }
 
     /// The snapshot as a JSON document (schema
@@ -445,13 +418,6 @@ impl MetricsSnapshot {
             (
                 "latency_ms",
                 Json::object([
-                    // The bare means predate the histograms and are
-                    // deprecated (see DESIGN.md); prefer the counted
-                    // percentiles below.
-                    ("wait_total", ms(self.wait_total)),
-                    ("wait_mean", ms(self.mean_wait())),
-                    ("run_total", ms(self.run_total)),
-                    ("run_mean", ms(self.mean_run())),
                     ("wait_count", Json::uint(self.wait.count)),
                     ("wait_p50", quantile_ms(&self.wait, 0.50)),
                     ("wait_p95", quantile_ms(&self.wait, 0.95)),
@@ -537,14 +503,6 @@ fn quantile_ms(hist: &HistogramSnapshot, q: f64) -> Json {
     Json::fixed(hist.quantile(q) as f64 / 1e6, 3)
 }
 
-fn checked_div(total: Duration, count: u64) -> Duration {
-    if count == 0 {
-        Duration::ZERO
-    } else {
-        total / u32::try_from(count).unwrap_or(u32::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,8 +538,6 @@ mod tests {
         let snapshot = Metrics::new(0).snapshot(Gauges::default());
         assert_eq!(snapshot.reuse_rate(), 0.0);
         assert_eq!(snapshot.cache_hit_rate(), 0.0);
-        assert_eq!(snapshot.mean_wait(), Duration::ZERO);
-        assert_eq!(snapshot.mean_run(), Duration::ZERO);
     }
 
     #[test]
@@ -621,7 +577,6 @@ mod tests {
         Metrics::bump(&metrics.cache_hits);
         Metrics::bump(&metrics.fused_batches);
         metrics.fused_requests.fetch_add(3, Ordering::Relaxed);
-        Metrics::add_duration(&metrics.wait_ns, Duration::from_millis(4));
         metrics.set_worker_stats(
             1,
             SessionStats {

@@ -43,8 +43,7 @@ pub struct ServiceConfig {
     /// recovery warms the cache on start, completed results are appended
     /// to the tail segment, a janitor folds history into checkpoints
     /// while serving, and graceful shutdown runs one final fold. `None`
-    /// keeps the cache in memory only. (A pre-existing single-file cache
-    /// at this path is migrated into the directory layout.)
+    /// keeps the cache in memory only.
     pub cache_path: Option<PathBuf>,
     /// Storage-engine tuning of the persistent cache (segment roll size,
     /// checkpoint cadence, disk byte cap, recovery threads); ignored

@@ -93,12 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let stats = device.stats();
         println!(
-            "{:<16} kernels={} items={} peak-mem={}B hash-inserts={}",
-            "",
-            stats.kernel_launches,
-            stats.items_executed,
-            stats.peak_bytes,
-            stats.hash_insertions
+            "{:<16} kernels={} items={} hash-inserts={}",
+            "", stats.kernel_launches, stats.items_executed, stats.hash_insertions
         );
     }
     println!(
