@@ -8,7 +8,10 @@
 //! * [`LockFreeU64Set`] — an insert-only, open-addressing, lock-free hash
 //!   set for single 64-bit keys (characteristic sequences that fit in one
 //!   machine word, the common case for the paper's benchmarks, which are
-//!   limited to 64-bit CSs on the GPU).
+//!   limited to 64-bit CSs on the GPU). It is a single array of keys:
+//!   `u64::MAX` marks an empty slot, one compare-and-swap of the key
+//!   itself claims and publishes a slot, and the one row that equals the
+//!   sentinel (the all-ones row of a 64-word closure) is a flag instead.
 //! * [`ShardedSet`] — an exact, sharded (mutex-per-shard) set for
 //!   multi-word keys, playing the role of the CPU hash set.
 //! * [`CsSet`] — a façade that picks the appropriate implementation from
@@ -16,7 +19,7 @@
 //!   `insert(row) -> bool` ("was this row new?").
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -43,20 +46,21 @@ pub fn hash_row(row: &[u64]) -> u64 {
     acc
 }
 
-/// Slot states of the lock-free table.
-const SLOT_EMPTY: u8 = 0;
-const SLOT_WRITING: u8 = 1;
-const SLOT_READY: u8 = 2;
+/// The key an empty slot holds. It is a real row only on a closure of
+/// exactly 64 words (the all-ones row), so it is tracked by a flag.
+const EMPTY_KEY: u64 = u64::MAX;
 
 /// An insert-only, lock-free, open-addressing hash set for `u64` keys.
 ///
-/// The table has a fixed capacity chosen at construction time. Insertion
-/// uses linear probing with a compare-and-swap claim on the slot state
-/// followed by a release-store of the key, the same publish protocol used
-/// by GPU hash tables such as WarpCore. When the table becomes full,
-/// further insertions are counted in [`LockFreeU64Set::overflowed`] and
-/// reported as unique; the synthesiser sizes the table from its memory
-/// budget so this only happens after the language cache itself is full.
+/// The table is one array of keys with a fixed capacity chosen at
+/// construction time. An empty slot holds `u64::MAX`; insertion probes
+/// linearly and claims an empty slot with one compare-and-swap of the key
+/// itself, so a probe reads one cache line and a published key is visible
+/// the moment it is claimed. The key `u64::MAX` never takes a slot: its
+/// membership is a separate flag. When the table becomes full, further
+/// insertions are counted in [`LockFreeU64Set::overflowed`] and reported
+/// as unique; the synthesiser sizes the table from its memory budget so
+/// this only happens after the language cache itself is full.
 ///
 /// # Example
 ///
@@ -66,12 +70,13 @@ const SLOT_READY: u8 = 2;
 /// let set = LockFreeU64Set::with_capacity(100);
 /// assert!(set.insert(42));
 /// assert!(!set.insert(42));
-/// assert_eq!(set.len(), 1);
+/// assert!(set.insert(u64::MAX));
+/// assert_eq!(set.len(), 2);
 /// ```
 #[derive(Debug)]
 pub struct LockFreeU64Set {
-    states: Vec<AtomicU8>,
     keys: Vec<AtomicU64>,
+    has_empty_key: AtomicBool,
     mask: usize,
     len: AtomicUsize,
     overflowed: AtomicUsize,
@@ -83,8 +88,8 @@ impl LockFreeU64Set {
     pub fn with_capacity(capacity: usize) -> Self {
         let slots = (capacity.max(1) * 2).next_power_of_two();
         LockFreeU64Set {
-            states: (0..slots).map(|_| AtomicU8::new(SLOT_EMPTY)).collect(),
-            keys: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            keys: (0..slots).map(|_| AtomicU64::new(EMPTY_KEY)).collect(),
+            has_empty_key: AtomicBool::new(false),
             mask: slots - 1,
             len: AtomicUsize::new(0),
             overflowed: AtomicUsize::new(0),
@@ -93,7 +98,7 @@ impl LockFreeU64Set {
 
     /// Number of slots in the table.
     pub fn capacity(&self) -> usize {
-        self.states.len()
+        self.keys.len()
     }
 
     /// Number of keys stored.
@@ -112,58 +117,55 @@ impl LockFreeU64Set {
         self.overflowed.load(Ordering::Relaxed)
     }
 
-    /// Current load factor (stored keys over slots).
-    pub fn load_factor(&self) -> f64 {
-        self.len() as f64 / self.capacity() as f64
-    }
-
     /// Doubles the table size, re-inserting all stored keys. Requires
     /// exclusive access; concurrent inserters must be quiescent, which is
     /// the case for the synthesiser's per-level uniqueness pass.
     pub fn grow(&mut self) {
         let bigger = LockFreeU64Set::with_capacity(self.capacity());
-        for (state, key) in self.states.iter().zip(&self.keys) {
-            if state.load(Ordering::Acquire) == SLOT_READY {
-                bigger.insert(key.load(Ordering::Acquire));
+        for key in &mut self.keys {
+            let key = *key.get_mut();
+            if key != EMPTY_KEY {
+                bigger.insert(key);
             }
+        }
+        if *self.has_empty_key.get_mut() {
+            bigger.insert(EMPTY_KEY);
         }
         *self = bigger;
     }
 
     /// Inserts `key`, returning `true` if it was not present before.
     pub fn insert(&self, key: u64) -> bool {
+        if key == EMPTY_KEY {
+            let fresh = !self.has_empty_key.swap(true, Ordering::AcqRel);
+            if fresh {
+                self.len.fetch_add(1, Ordering::Relaxed);
+            }
+            return fresh;
+        }
+        // The claiming CAS (AcqRel) pairs with the Acquire loads of later
+        // probes. A slot publishes only its own key, which is written whole
+        // by the CAS, so no probe can see a half-published slot.
         let mut idx = (mix64(key) as usize) & self.mask;
-        for _ in 0..self.states.len() {
-            loop {
-                match self.states[idx].load(Ordering::Acquire) {
-                    SLOT_READY => {
-                        if self.keys[idx].load(Ordering::Acquire) == key {
-                            return false;
-                        }
-                        break; // occupied by a different key: probe onwards
+        for _ in 0..self.keys.len() {
+            let mut held = self.keys[idx].load(Ordering::Acquire);
+            if held == EMPTY_KEY {
+                match self.keys[idx].compare_exchange(
+                    EMPTY_KEY,
+                    key,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => {
+                        self.len.fetch_add(1, Ordering::Relaxed);
+                        return true;
                     }
-                    SLOT_EMPTY => {
-                        if self.states[idx]
-                            .compare_exchange(
-                                SLOT_EMPTY,
-                                SLOT_WRITING,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_ok()
-                        {
-                            self.keys[idx].store(key, Ordering::Release);
-                            self.states[idx].store(SLOT_READY, Ordering::Release);
-                            self.len.fetch_add(1, Ordering::Relaxed);
-                            return true;
-                        }
-                        // Lost the race: retry the same slot.
-                    }
-                    _ => {
-                        // A writer is publishing this slot; spin briefly.
-                        std::hint::spin_loop();
-                    }
+                    // Lost the race: the winner's key now holds the slot.
+                    Err(winner) => held = winner,
                 }
+            }
+            if held == key {
+                return false;
             }
             idx = (idx + 1) & self.mask;
         }
@@ -173,20 +175,16 @@ impl LockFreeU64Set {
 
     /// Returns `true` if `key` has been inserted.
     pub fn contains(&self, key: u64) -> bool {
+        if key == EMPTY_KEY {
+            return self.has_empty_key.load(Ordering::Acquire);
+        }
         let mut idx = (mix64(key) as usize) & self.mask;
-        for _ in 0..self.states.len() {
-            match self.states[idx].load(Ordering::Acquire) {
-                SLOT_EMPTY => return false,
-                SLOT_READY if self.keys[idx].load(Ordering::Acquire) == key => {
-                    return true;
-                }
-                _ => {
-                    // Either a writer is in flight (it can only be
-                    // publishing a key that is not yet visible) or the slot
-                    // holds another key — treat as occupied and probe on.
-                }
+        for _ in 0..self.keys.len() {
+            match self.keys[idx].load(Ordering::Acquire) {
+                EMPTY_KEY => return false,
+                held if held == key => return true,
+                _ => idx = (idx + 1) & self.mask,
             }
-            idx = (idx + 1) & self.mask;
         }
         false
     }
@@ -393,7 +391,7 @@ impl CsSet {
     /// the WarpCore-style table does not grow on its own.
     pub fn maybe_grow(&mut self) {
         if let CsSet::Narrow(set) = self {
-            if set.load_factor() >= 0.5 {
+            if set.len() * 2 >= set.capacity() {
                 set.grow();
             }
         }
@@ -539,7 +537,7 @@ mod tests {
     fn lock_free_set_grows_preserving_membership() {
         let mut set = LockFreeU64Set::with_capacity(8);
         for key in 0..200u64 {
-            if set.load_factor() >= 0.5 {
+            if set.len() * 2 >= set.capacity() {
                 set.grow();
             }
             assert!(set.insert(key * 17));

@@ -345,6 +345,95 @@ mod tests {
         assert_eq!(shared.stats().hash_insertions, 7);
     }
 
+    /// Drives a batch through the per-candidate primitives, one
+    /// `compute_row` and one `admit` per row, as a custom backend would.
+    #[derive(Debug)]
+    struct PerRow(Device);
+
+    impl Backend for PerRow {
+        fn name(&self) -> &'static str {
+            "test-per-row"
+        }
+
+        fn device(&self) -> Option<&Device> {
+            Some(&self.0)
+        }
+
+        fn process(&self, batch: &mut LevelBatch<'_, '_>) -> BatchOutcome {
+            let blocks = batch.row_blocks();
+            let (mut row, mut scratch) = (vec![0u64; blocks], vec![0u64; blocks]);
+            for k in 0..batch.len() {
+                batch.compute_row(k, &mut row, &mut scratch);
+                if let RowVerdict::Found(prov) = batch.admit(k, &row) {
+                    return BatchOutcome::Found(prov);
+                }
+            }
+            BatchOutcome::Continue
+        }
+    }
+
+    /// `cpu-sequential` with a device of its own, so its hash insertions
+    /// (recorded once per batch) can be read back.
+    #[derive(Debug)]
+    struct CountedSequential(Device);
+
+    impl Backend for CountedSequential {
+        fn name(&self) -> &'static str {
+            Sequential::NAME
+        }
+
+        fn device(&self) -> Option<&Device> {
+            Some(&self.0)
+        }
+
+        fn process(&self, batch: &mut LevelBatch<'_, '_>) -> BatchOutcome {
+            batch.run_sequential()
+        }
+    }
+
+    #[test]
+    fn per_row_admission_accounts_like_run_sequential() {
+        use crate::{SynthConfig, SynthSession, SynthesisError};
+        use rei_syntax::CostFn;
+        let spec = rei_lang::Spec::from_strs(
+            ["10", "101", "100", "1010", "1011", "1000", "1001"],
+            ["", "0", "1", "00", "11", "010"],
+        )
+        .unwrap();
+        // The default budget; one on which OnTheFly mode runs out of
+        // operands; and one on which the cache fills mid-level, so later
+        // rows of the same batch skip the dedup set, and the search still
+        // finds the answer.
+        let mut went_on_the_fly = false;
+        for budget in [None, Some(8000), Some(10000)] {
+            let mut config = SynthConfig::new(CostFn::UNIFORM).with_level_chunk_rows(64);
+            if let Some(bytes) = budget {
+                config = config.with_memory_budget(bytes);
+            }
+            let run = |backend: Box<dyn Backend>| {
+                let mut session = SynthSession::with_backend(config.clone(), backend).unwrap();
+                let (cost, stats) = match session.run(&spec) {
+                    Ok(result) => (Some(result.cost), result.stats),
+                    Err(SynthesisError::OutOfMemory { stats, .. }) => (None, stats),
+                    Err(err) => panic!("budget {budget:?}: {err:?}"),
+                };
+                let inserted = session.device().map(|d| d.stats().hash_insertions);
+                (cost, stats, inserted)
+            };
+            let (cost, stats, _) = run(Box::new(Sequential));
+            went_on_the_fly |= stats.used_on_the_fly;
+            let (_, _, batched) = run(Box::new(CountedSequential(Device::sequential())));
+            let (per_row_cost, per_row, inserted) = run(Box::new(PerRow(Device::sequential())));
+            assert!(batched.unwrap() > 0);
+            assert_eq!(inserted, batched, "budget {budget:?}");
+            assert_eq!(per_row_cost, cost, "budget {budget:?}");
+            assert_eq!(per_row.unique_languages, stats.unique_languages);
+            assert_eq!(per_row.admission_folds, stats.admission_folds);
+            assert_eq!(per_row.used_on_the_fly, stats.used_on_the_fly);
+        }
+        assert!(went_on_the_fly, "no budget reached OnTheFly mode");
+    }
+
     #[test]
     fn choice_parsing_round_trips() {
         for raw in ["cpu-sequential", "sequential", "cpu"] {

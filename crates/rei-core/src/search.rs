@@ -601,23 +601,32 @@ impl LevelBatch<'_, '_> {
     /// satisfaction check and the cache (the admission pipeline of
     /// Algorithm 1).
     pub fn admit(&mut self, k: usize, row: &[u64]) -> RowVerdict {
+        if !self.search.on_the_fly {
+            self.search.stats_device.record_hash_insertions(1);
+        }
         self.search.admit(row, self.jobs[k], self.cost)
     }
 
     /// The reference strategy: one candidate at a time with early exits.
+    /// The hash insertions are recorded once for the whole batch.
     pub fn run_sequential(&mut self) -> BatchOutcome {
         let blocks = self.row_blocks();
         // One streamed level chunk is one unit of claimed work here.
         self.search.stats.chunks_claimed += 1;
         let mut row = vec![0u64; blocks];
         let mut scratch = vec![0u64; blocks];
-        for k in 0..self.jobs.len() {
-            self.compute_row(k, &mut row, &mut scratch);
-            if let RowVerdict::Found(prov) = self.admit(k, &row) {
-                return BatchOutcome::Found(prov);
+        let mut inserted = 0u64;
+        let mut outcome = BatchOutcome::Continue;
+        for &job in self.jobs {
+            self.search.compute_row(job, &mut row, &mut scratch);
+            inserted += u64::from(!self.search.on_the_fly);
+            if let RowVerdict::Found(prov) = self.search.admit(&row, job, self.cost) {
+                outcome = BatchOutcome::Found(prov);
+                break;
             }
         }
-        BatchOutcome::Continue
+        self.search.stats_device.record_hash_insertions(inserted);
+        outcome
     }
 
     /// The data-parallel strategy: a single kernel computes each candidate
@@ -1400,6 +1409,7 @@ impl<'a> Search<'a> {
         self.masks.is_satisfied_with_error(row, allowed)
     }
 
+    /// Admits a computed row; the caller records its hash insertion.
     fn admit(&mut self, row: &[u64], job: Job, cost: u64) -> RowVerdict {
         self.seen.maybe_grow();
         if self.on_the_fly {
@@ -1410,7 +1420,6 @@ impl<'a> Search<'a> {
             }
             return RowVerdict::Duplicate;
         }
-        self.stats_device.record_hash_insertions(1);
         if !self.seen.insert(row) {
             return RowVerdict::Duplicate;
         }

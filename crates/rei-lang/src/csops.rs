@@ -33,6 +33,15 @@
 //! entirely; see the [`GuideMasks`] docs for the entry layout and the
 //! memory trade-off against the pair table.
 //!
+//! # One-block rows
+//!
+//! On a closure of at most 64 words a row is one `u64`, and [`concat_into`]
+//! and [`star_into`] fold it in a register. Every [`MaskEntry`] then has
+//! block 0, and its signed shift becomes a rotate by `shift mod 64`. The
+//! rotate is exact: `target_mask` holds every selected bit after the
+//! shift, so none wraps (debug builds assert this, as `MaskEntry::apply`
+//! does).
+//!
 //! [`GuideMasks`]: crate::GuideMasks
 //!
 //! [`MaskEntry`]: crate::MaskEntry
@@ -124,6 +133,10 @@ pub fn concat_word_bit(a: &[u64], b: &[u64], guide: &GuideTable, w: usize) -> bo
 /// Panics if `dst` or `b` is too short for the bit positions the mask
 /// table references.
 pub fn concat_into(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
+    if let ([d], [a], [b]) = (&mut *dst, a, b) {
+        *d = concat_block(*a, *b, masks);
+        return;
+    }
     clear(dst);
     let num_left = masks.num_left();
     for (block, &word) in a.iter().enumerate() {
@@ -141,6 +154,29 @@ pub fn concat_into(dst: &mut [u64], a: &[u64], b: &[u64], masks: &GuideMasks) {
             }
         }
     }
+}
+
+/// `a · b` on one-block rows: one and, one rotate and one or per entry
+/// (see "One-block rows" in the module docs).
+#[inline]
+fn concat_block(a: u64, b: u64, masks: &GuideMasks) -> u64 {
+    let num_left = masks.num_left();
+    let mut acc = 0;
+    let mut bits = a;
+    while bits != 0 {
+        let l = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        if l >= num_left {
+            break;
+        }
+        for e in masks.row(l) {
+            debug_assert!(e.right_block == 0 && e.target_block == 0, "wide mask table");
+            let moved = (b & e.right_mask).rotate_left(e.shift as u32 & 63);
+            debug_assert_eq!(moved & !e.target_mask, 0, "stray bits after rotate");
+            acc |= moved;
+        }
+    }
+    acc
 }
 
 /// `dst := a · b` computed with the per-word split gather over the pair
@@ -215,6 +251,15 @@ pub fn star_into(
     scratch: &mut [u64],
 ) {
     assert_eq!(dst.len(), scratch.len(), "scratch must match dst length");
+    if let ([d], [a]) = (&mut *dst, a) {
+        let (mut t, mut s) = (0, *a | 1 << eps_index);
+        while s != t {
+            t = s;
+            s = concat_block(t, t, masks);
+        }
+        *d = t;
+        return;
+    }
     copy_into(dst, a);
     set_bit(dst, eps_index);
     loop {
@@ -512,7 +557,74 @@ mod tests {
         }
     }
 
+    #[test]
+    fn one_block_kernels_reach_bit_63_on_a_64_word_closure() {
+        // All binary words of length ≤ 5 (63 words) plus `000000`: the
+        // closure fills one block exactly, `000000` is bit 63, and
+        // `(0+1)*` is the all-ones row.
+        let ic = InfixClosure::of_words(
+            wide_closure(5)
+                .iter()
+                .map(|(_, w)| w.clone())
+                .chain([Word::from("000000")]),
+        );
+        assert_eq!(ic.len(), 64);
+        let gt = GuideTable::build(&ic);
+        let gm = GuideMasks::build(&ic);
+        let eps = ic.eps_index().unwrap();
+        let any = ic.cs_of_regex(&parse("0+1").unwrap());
+        let (mut got, mut want, mut scratch) = ([0u64], [0u64], [0u64]);
+        star_into(&mut got, any.blocks(), &gm, eps, &mut scratch);
+        assert_eq!(got, [u64::MAX]);
+        star_into_linear(&mut want, any.blocks(), &gt, eps, &mut scratch);
+        assert_eq!(want, [u64::MAX]);
+        for (ea, eb) in [
+            ("(0+1)*", "(0+1)*"),
+            ("0*", "0"),
+            ("0", "00000"),
+            ("(0+1)*1", "0*"),
+            ("∅", "(0+1)*"),
+        ] {
+            let a = ic.cs_of_regex(&parse(ea).unwrap());
+            let b = ic.cs_of_regex(&parse(eb).unwrap());
+            concat_into(&mut got, a.blocks(), b.blocks(), &gm);
+            concat_into_gather(&mut want, a.blocks(), b.blocks(), &gt);
+            assert_eq!(got, want, "{ea} · {eb}");
+            let product = ic.cs_of_regex(&parse(&format!("({ea})({eb})")).unwrap());
+            assert_eq!(got, product.blocks(), "{ea} · {eb} against the matcher");
+            star_into(&mut got, a.blocks(), &gm, eps, &mut scratch);
+            star_into_linear(&mut want, a.blocks(), &gt, eps, &mut scratch);
+            assert_eq!(got, want, "({ea})*");
+        }
+    }
+
     proptest! {
+        /// On random closures of at most 64 words and random one-block
+        /// rows, the register-wide concat equals the pair-table gather and
+        /// the register-wide star equals the linear iteration.
+        #[test]
+        fn one_block_kernels_agree_with_references(
+            words in proptest::collection::vec("[01]{0,7}", 1..6),
+            a in 0..u64::MAX,
+            b in 0..u64::MAX,
+        ) {
+            let ic = InfixClosure::of_words(words.iter().map(|s| Word::from(s.as_str())));
+            if ic.len() > 64 { return Ok(()); }
+            prop_assert_eq!(ic.width().blocks(), 1);
+            let gt = GuideTable::build(&ic);
+            let gm = GuideMasks::build(&ic);
+            let eps = ic.eps_index().unwrap();
+            let live = u64::MAX >> (64 - ic.len());
+            let (a, b) = ([a & live], [b & live]);
+            let (mut got, mut want, mut scratch) = ([0u64], [0u64], [0u64]);
+            concat_into(&mut got, &a, &b, &gm);
+            concat_into_gather(&mut want, &a, &b, &gt);
+            prop_assert_eq!(got, want, "{:#x} · {:#x}", a[0], b[0]);
+            star_into(&mut got, &a, &gm, eps, &mut scratch);
+            star_into_linear(&mut want, &a, &gt, eps, &mut scratch);
+            prop_assert_eq!(got, want, "({:#x})*", a[0]);
+        }
+
         /// The kernel evaluation of random small regexes agrees with the
         /// derivative matcher on every word of the infix closure.
         #[test]

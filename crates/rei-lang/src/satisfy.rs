@@ -166,6 +166,7 @@ impl AdmissionPrefilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rei_syntax::parse;
 
     fn setup() -> (Spec, InfixClosure, SatisfyMasks) {
@@ -273,6 +274,24 @@ mod tests {
         // And the satisfying row always passes.
         let target = ic.cs_of_regex(&parse("10(0+1)*").unwrap());
         assert!(!prefilter.rejects(target.blocks(), 0));
+    }
+
+    proptest! {
+        /// On one-block rows the prefilter inspects the whole row, so its
+        /// bound is the exact misclassified count: `rejects(row, k)` holds
+        /// exactly when `misclassified(row) > k`. The second admission
+        /// phase stays anyway (see DESIGN.md, "Two-phase admission
+        /// prefilter").
+        #[test]
+        fn prefilter_bound_is_exact_on_one_block_rows(bits in 0..u64::MAX) {
+            let (_, ic, masks) = setup();
+            prop_assert_eq!(ic.width().blocks(), 1);
+            let prefilter = masks.prefilter();
+            let row = [bits & (u64::MAX >> (64 - ic.len()))];
+            let n = masks.num_examples();
+            let bound = (0..=n).filter(|&k| prefilter.rejects(&row, k)).count();
+            prop_assert_eq!(bound, masks.misclassified(&row));
+        }
     }
 
     #[test]

@@ -181,3 +181,35 @@ proptest! {
         prop_assert!(cheap.cost <= pricey.regex.cost(&CostFn::UNIFORM));
     }
 }
+
+/// A closure of exactly 64 words fills one row block, so `(0+1)*` is the
+/// all-ones row: the one row that equals the narrow dedup table's
+/// empty-slot key. Every backend must still find the same minimal cost.
+#[test]
+fn backends_agree_on_a_64_word_closure() {
+    let words: Vec<String> = (0..32u32).map(|bits| format!("{bits:05b}")).collect();
+    for ending in ["1", "01"] {
+        let (pos, mut neg): (Vec<&str>, Vec<&str>) = words
+            .iter()
+            .map(String::as_str)
+            .partition(|w| w.ends_with(ending));
+        neg.push("000000");
+        let spec = Spec::from_strs(pos, neg).unwrap();
+        assert_eq!(paresy::lang::InfixClosure::of_spec(&spec).len(), 64);
+        let sequential = session(BackendChoice::Sequential).run(&spec).unwrap();
+        assert!(spec.is_satisfied_by(&sequential.regex));
+        for choice in [
+            BackendChoice::ThreadParallel { threads: Some(2) },
+            BackendChoice::DeviceParallel { threads: Some(2) },
+        ] {
+            let result = session(choice).run(&spec).unwrap();
+            assert_eq!(
+                result.cost,
+                sequential.cost,
+                "backend {} on {spec}",
+                choice.name()
+            );
+            assert!(spec.is_satisfied_by(&result.regex));
+        }
+    }
+}
