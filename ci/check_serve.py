@@ -40,15 +40,6 @@ Flags:
                        "source": "cache" (a restarted — or kill-9'd and
                        recovered — server answers repeats from its
                        persistent cache store)
-  --bench FILE         also validate the `service.refine` section of a
-                       BENCH_core.json: the interactive-refinement pass
-                       ran, reused warm state, and beat cold re-solves
-  --min-refine-speedup R
-                       the bench refine section's speedup (cold seconds /
-                       refine seconds) is at least R (needs --bench)
-
-With --bench the result-line checks are optional: piping /dev/null lets
-the script validate just the bench section.
 """
 
 import argparse
@@ -78,8 +69,6 @@ def parse_args():
     parser.add_argument("--min-disk-loaded", type=int)
     parser.add_argument("--min-fused", type=int)
     parser.add_argument("--min-restart-hit-rate", type=float)
-    parser.add_argument("--bench")
-    parser.add_argument("--min-refine-speedup", type=float)
     return parser.parse_args()
 
 
@@ -89,44 +78,12 @@ def split_pair(raw, flag):
     return key, value
 
 
-def check_refine_bench(args):
-    """Validates the `service.refine` section of a BENCH_core.json: the
-    interactive-refinement pass genuinely reused warm session state and
-    answered each added example faster than a cold re-solve."""
-    with open(args.bench) as handle:
-        report = json.load(handle)
-    refine = report["service"]["refine"]
-    assert refine["chains"] > 0, refine
-    assert refine["steps"] > 0, refine
-    assert 1 <= refine["warm"] <= refine["steps"], refine
-    assert refine["refine_seconds_total"] < refine["cold_seconds_total"], (
-        f"refine lost to cold re-solve: {refine['refine_seconds_total']:.6f}s "
-        f"vs {refine['cold_seconds_total']:.6f}s"
-    )
-    if args.min_refine_speedup is not None:
-        assert refine["speedup"] >= args.min_refine_speedup, (
-            f"refine speedup {refine['speedup']:.2f} < {args.min_refine_speedup}"
-        )
-    print(
-        f"bench refine: {refine['chains']} chains / {refine['steps']} steps "
-        f"({refine['warm']} warm), {refine['refine_seconds_total'] * 1e3:.1f}ms "
-        f"vs cold {refine['cold_seconds_total'] * 1e3:.1f}ms "
-        f"({refine['speedup']:.2f}x)"
-    )
-
-
 def main():
     args = parse_args()
-    if args.min_refine_speedup is not None:
-        assert args.bench, "--min-refine-speedup needs --bench"
-    if args.bench:
-        check_refine_bench(args)
 
     text = open(args.file).read() if args.file else sys.stdin.read()
     all_lines = [json.loads(line) for line in text.splitlines() if line.strip()]
-    assert all_lines or args.bench, "no result lines"
-    if not all_lines:
-        return
+    assert all_lines, "no result lines"
 
     metrics = None
     if args.metrics:

@@ -1,4 +1,6 @@
-//! The simulated SIMT device: kernel launches over a thread pool.
+//! The simulated SIMT device: a thread count and launch counters. There
+//! is no thread pool: every multi-block kernel launch spawns its scoped
+//! workers afresh.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

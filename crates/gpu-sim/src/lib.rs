@@ -7,8 +7,8 @@
 //!
 //! * [`Device`] — a "device" with a fixed number of hardware threads that
 //!   executes *kernels*: data-parallel loops over an index space, launched
-//!   in grid/block style and executed by a pool of OS threads
-//!   (crossbeam-scoped). Kernels must be free of data-dependent branching
+//!   in grid/block style and executed by scoped OS threads spawned per
+//!   launch (crossbeam-scoped). Kernels must be free of data-dependent branching
 //!   across items in the same way CUDA kernels are — each item writes only
 //!   to its own chunk of the output buffer.
 //! * [`hashset`] — a WarpCore-style concurrent hash set used for the

@@ -1,72 +1,37 @@
 //! Command-line entry point that regenerates the paper's tables and
-//! figures.
+//! figures and runs the repository's speed gates.
 //!
 //! ```text
-//! reproduce [--full] [--seed N] [--out FILE] [--workers N] [--pools N]
-//!           [--cache-dir DIR] <experiment>
-//!   experiment: figure1 | table1 | table2 | outliers | error | perf | serve | all
+//! reproduce [--full] [--seed N] <experiment>
+//!   experiment: figure1 | table1 | table2 | outliers | error | check | all
 //! ```
-//!
-//! `--cache-dir` names the persistent-cache directory of the `serve`
-//! experiment's restart pass; any `*.jsonl` cache files already in it
-//! are **removed** before the cold pass (a pre-warmed cold pass would be
-//! meaningless — unrelated files are left alone). Without the flag a
-//! scratch directory is used and removed afterwards.
 //!
 //! By default the quick scale is used (seconds per experiment); `--full`
 //! switches to paper-scale parameters with a 5-second per-run timeout.
-//! The `perf` and `serve` experiments additionally update the
-//! machine-readable baseline `BENCH_core.json` (path overridable with
-//! `--out`): each merges the sections it owns into the existing document
-//! so the other's survive a re-run. See `ROADMAP.md` for how to read it.
+//! `check` times the kernels, parallel WAL recovery and warm refinement
+//! against their baselines, prints one PASS/FAIL line per gate and exits
+//! 1 if any gate fails; `all` runs it after the paper experiments. Its
+//! speed claims only hold for optimised builds: run it with `--release`.
 
 use std::process::ExitCode;
 
 use rei_bench::harness::{
-    outlier_distribution, run_error_table, run_figure1, run_net, run_perf, run_serve, run_table1,
-    run_table2, HarnessConfig, RunOutcome, PAPER_THRESHOLDS,
+    outlier_distribution, run_check, run_error_table, run_figure1, run_table1, run_table2,
+    HarnessConfig, RunOutcome, PAPER_THRESHOLDS,
 };
 use rei_bench::report::{fmt_opt, format_table};
-use rei_service::json::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = HarnessConfig::quick();
     let mut experiment: Option<String> = None;
-    let mut out_path = "BENCH_core.json".to_string();
-    let mut workers = 4usize;
-    let mut pools = 2usize;
-    let mut cache_dir: Option<String> = None;
-    let mut listen = false;
-    let mut net_threads = 4usize;
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--full" => config = HarnessConfig::full(),
             "--seed" => match iter.next().and_then(|s| s.parse().ok()) {
                 Some(seed) => config.seed = seed,
                 None => return usage("--seed expects an integer"),
-            },
-            "--out" => match iter.next() {
-                Some(path) => out_path = path.clone(),
-                None => return usage("--out expects a file path"),
-            },
-            "--workers" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => return usage("--workers expects a positive integer"),
-            },
-            "--pools" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => pools = n,
-                _ => return usage("--pools expects a positive integer"),
-            },
-            "--cache-dir" => match iter.next() {
-                Some(dir) => cache_dir = Some(dir.clone()),
-                None => return usage("--cache-dir expects a directory path"),
-            },
-            "--listen" => listen = true,
-            "--net-threads" => match iter.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => net_threads = n,
-                _ => return usage("--net-threads expects a positive integer"),
             },
             "--help" | "-h" => return usage(""),
             other if experiment.is_none() && !other.starts_with('-') => {
@@ -85,42 +50,14 @@ fn main() -> ExitCode {
         "table2" => print_table2(&config),
         "outliers" => print_outliers(&config),
         "error" => print_error(&config),
-        "perf" => {
-            if !print_perf(&config, &out_path) {
-                return ExitCode::FAILURE;
-            }
-        }
-        "serve" => {
-            if !print_serve(
-                &config,
-                workers,
-                pools,
-                cache_dir.as_deref(),
-                listen.then_some(net_threads),
-                &out_path,
-            ) {
-                return ExitCode::FAILURE;
-            }
-        }
+        "check" => return print_check(&config),
         "all" => {
             print_figure1(&config);
             print_table1(&config);
             print_table2(&config);
             print_outliers(&config);
             print_error(&config);
-            if !print_perf(&config, &out_path) {
-                return ExitCode::FAILURE;
-            }
-            if !print_serve(
-                &config,
-                workers,
-                pools,
-                cache_dir.as_deref(),
-                listen.then_some(net_threads),
-                &out_path,
-            ) {
-                return ExitCode::FAILURE;
-            }
+            return print_check(&config);
         }
         other => return usage(&format!("unknown experiment '{other}'")),
     }
@@ -132,9 +69,7 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("error: {error}");
     }
     eprintln!(
-        "usage: reproduce [--full] [--seed N] [--out FILE] [--workers N] [--pools N] \
-         [--cache-dir DIR] [--listen] [--net-threads N] \
-         <figure1|table1|table2|outliers|error|perf|serve|all>"
+        "usage: reproduce [--full] [--seed N] <figure1|table1|table2|outliers|error|check|all>"
     );
     if error.is_empty() {
         ExitCode::SUCCESS
@@ -278,297 +213,16 @@ fn print_table2(config: &HarnessConfig) {
     );
 }
 
-fn print_perf(config: &HarnessConfig, out_path: &str) -> bool {
-    println!("== Perf baseline: kernels and backends ==");
-    let report = run_perf(config);
-    let kernel_rows: Vec<Vec<String>> = report
-        .kernels
-        .iter()
-        .map(|k| {
-            vec![
-                k.benchmark.clone(),
-                k.closure_size.to_string(),
-                format!("{:.0}", k.concat_gather_ns),
-                format!("{:.0}", k.concat_masked_ns),
-                format!("{:.2}x", k.concat_speedup),
-                format!("{:.0}", k.star_linear_ns),
-                format!("{:.0}", k.star_squared_ns),
-                format!("{:.2}x", k.star_speedup),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "bench",
-                "#ic",
-                "gather ns",
-                "masked ns",
-                "concat",
-                "linear ns",
-                "squared ns",
-                "star"
-            ],
-            &kernel_rows
-        )
-    );
-    println!(
-        "geomean speedups: concat {:.2}x, star {:.2}x\n",
-        report.geomean_concat_speedup, report.geomean_star_speedup
-    );
-    let backend_rows: Vec<Vec<String>> = report
-        .backends
-        .iter()
-        .map(|b| {
-            vec![
-                b.backend.clone(),
-                format!("{:.4}", b.wall_seconds),
-                format!("{}/{}", b.solved, b.total),
-                b.candidates.to_string(),
-                b.rows_built.to_string(),
-                format!("{:.2}%", b.dedup_hit_rate * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["backend", "wall s", "solved", "#REs", "rows", "dedup hits"],
-            &backend_rows
-        )
-    );
-    merge_sections(out_path, report.to_json_value())
-}
-
-fn print_serve(
-    config: &HarnessConfig,
-    workers: usize,
-    pools: usize,
-    cache_dir: Option<&str>,
-    listen_net_threads: Option<usize>,
-    out_path: &str,
-) -> bool {
-    println!("== Service throughput: cold vs cache-warm vs disk-warm restart ==");
-    // Without an explicit --cache-dir the restart pass runs over a
-    // scratch directory that is cleaned up afterwards.
-    let scratch = std::env::temp_dir().join(format!("rei-serve-restart-{}", std::process::id()));
-    let dir = match cache_dir {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => scratch.clone(),
-    };
-    // The cold pass is only cold without leftover cache files: records
-    // from a previous run (or a reused scratch path) would pre-warm it
-    // and corrupt the measurement. Only the experiment's own `*.jsonl`
-    // shard files are removed — a user-supplied --cache-dir may hold
-    // unrelated files that are not ours to delete.
-    clear_cache_files(&dir);
-    let report = run_serve(config, workers, pools, &dir);
-    if cache_dir.is_none() {
-        std::fs::remove_dir_all(&scratch).ok();
+fn print_check(config: &HarnessConfig) -> ExitCode {
+    println!("== Speed gates ==");
+    let verdicts = run_check(config);
+    for verdict in &verdicts {
+        println!("{verdict}");
     }
-    let pass_row = |label: &str, pass: &rei_bench::harness::ServePass| {
-        vec![
-            label.to_string(),
-            pass.submitted.to_string(),
-            format!("{:.4}", pass.wall_seconds),
-            format!("{}/{}", pass.solved, pass.solved + pass.failed),
-            pass.cache_hits.to_string(),
-            pass.coalesced.to_string(),
-            format!("{:.0}%", pass.cache_hit_rate() * 100.0),
-        ]
-    };
-    println!(
-        "{}",
-        format_table(
-            &[
-                "pass",
-                "requests",
-                "wall s",
-                "solved",
-                "hits",
-                "coalesced",
-                "hit rate"
-            ],
-            &[
-                pass_row("cold", &report.cold),
-                pass_row("warm", &report.warm),
-                pass_row("restart", &report.restart),
-            ]
-        )
-    );
-    let pool_rows: Vec<Vec<String>> = report
-        .pools
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                p.submitted.to_string(),
-                p.cache_hits.to_string(),
-                p.coalesced.to_string(),
-                p.completed.to_string(),
-                p.workers.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "pool",
-                "requests",
-                "hits",
-                "coalesced",
-                "completed",
-                "workers"
-            ],
-            &pool_rows
-        )
-    );
-    println!(
-        "{} pools x {} workers on {}, {} distinct specs; warm replay speedup {:.1}x, \
-         restart warmed {} results from disk\n",
-        report.pools.len(),
-        report.workers,
-        report.backend,
-        report.pool_size,
-        report.replay_speedup(),
-        report.restart_disk_loaded
-    );
-    println!(
-        "recovery: {} records over {} segments — serial {:.1} ms, parallel {:.1} ms \
-         on {} threads ({:.1}x)\n",
-        report.recovery.records,
-        report.recovery.segments,
-        report.recovery.serial_seconds * 1e3,
-        report.recovery.parallel_seconds * 1e3,
-        report.recovery.threads,
-        report.recovery.speedup()
-    );
-    println!(
-        "refine: {} chains, {} steps ({} warm) — sessions {:.1} ms vs cold re-solve \
-         {:.1} ms ({:.1}x)\n",
-        report.refine.chains,
-        report.refine.steps,
-        report.refine.warm,
-        report.refine.refine_seconds_total * 1e3,
-        report.refine.cold_seconds_total * 1e3,
-        report.refine.speedup()
-    );
-    let mut service = report.to_json_value();
-    if let Some(net_threads) = listen_net_threads {
-        service.set("net", print_net(config, workers, pools, net_threads));
-    }
-    merge_sections(out_path, Json::object([("service", service)]))
-}
-
-/// Runs the TCP pass of the serve experiment (`--listen`): concurrent
-/// client threads over real sockets, plus a rate-limited flood. Returns
-/// the `service.net` section.
-fn print_net(config: &HarnessConfig, workers: usize, pools: usize, net_threads: usize) -> Json {
-    println!("== Service over TCP: concurrent connections and fair-share admission ==");
-    let report = run_net(config, workers, pools, net_threads);
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for (label, pass) in [("cold", &report.cold), ("warm", &report.warm)] {
-        for connection in &pass.connections {
-            rows.push(vec![
-                label.to_string(),
-                connection.tenant.clone(),
-                connection.submitted.to_string(),
-                connection.answered.to_string(),
-                connection.rejected_rate_limited.to_string(),
-                format!("{:.4}", connection.wall_seconds),
-                format!("{:.1}", connection.throughput()),
-            ]);
-        }
-    }
-    rows.push(vec![
-        "flood".into(),
-        report.flood.tenant.clone(),
-        report.flood.submitted.to_string(),
-        report.flood.answered.to_string(),
-        report.flood.rejected_rate_limited.to_string(),
-        format!("{:.4}", report.flood.wall_seconds),
-        format!("{:.1}", report.flood.throughput()),
-    ]);
-    println!(
-        "{}",
-        format_table(
-            &[
-                "pass",
-                "tenant",
-                "requests",
-                "answered",
-                "rate_limited",
-                "wall s",
-                "req/s"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "{} handler threads, {} concurrent connections; warm TCP hit rate {:.0}%, \
-         admission admitted {} / rate-limited {}\n",
-        report.net_threads,
-        report.connections,
-        report.warm.cache_hit_rate() * 100.0,
-        report.admitted,
-        report.rate_limited
-    );
-    report.to_json_value()
-}
-
-/// Removes the serve experiment's per-pool cache stores from `dir` —
-/// the `pool-K/` store directories (segmented write-ahead logs), the
-/// `recovery-bench/` scratch store, and any `*.jsonl`/`*.tmp` files a
-/// pre-WAL run left behind — leaving any unrelated content of a
-/// user-supplied directory alone.
-fn clear_cache_files(dir: &std::path::Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let pool_store = name
-            .strip_prefix("pool-")
-            .is_some_and(|tail| !tail.is_empty() && tail.bytes().all(|b| b.is_ascii_digit()));
-        if path.is_dir() && (pool_store || name == "recovery-bench") {
-            std::fs::remove_dir_all(&path).ok();
-        } else if path
-            .extension()
-            .is_some_and(|ext| ext == "jsonl" || ext == "tmp")
-        {
-            std::fs::remove_file(&path).ok();
-        }
-    }
-}
-
-/// Merges the top-level keys of `update` into the JSON document at
-/// `path`, preserving every key the update does not own — so `perf` and
-/// `serve` can each refresh their sections of `BENCH_core.json` without
-/// clobbering the other's. An unreadable or unparsable file is replaced.
-fn merge_sections(path: &str, update: Json) -> bool {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .filter(|doc| matches!(doc, Json::Object(_)))
-        .unwrap_or_else(|| Json::Object(Vec::new()));
-    if let Json::Object(pairs) = update {
-        for (key, value) in pairs {
-            doc.set(&key, value);
-        }
-    }
-    match std::fs::write(path, doc.to_pretty()) {
-        Ok(()) => {
-            println!("wrote {path}");
-            true
-        }
-        Err(err) => {
-            eprintln!("error: cannot write {path}: {err}");
-            false
-        }
+    if verdicts.iter().all(|v| v.passed()) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 

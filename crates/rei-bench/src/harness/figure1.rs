@@ -27,7 +27,7 @@ pub struct Figure1Row {
 }
 
 /// The benchmark pool used by Figure 1 and Table 1 for a configuration.
-pub(crate) fn benchmark_pool(config: &HarnessConfig) -> Vec<Benchmark> {
+pub fn benchmark_pool(config: &HarnessConfig) -> Vec<Benchmark> {
     let alphabet = Alphabet::binary();
     match config.scale {
         // Paper parameters: Type 1 with p, n ∈ 8..12 and le ≤ 7; Type 2

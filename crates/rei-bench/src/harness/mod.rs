@@ -1,26 +1,26 @@
-//! The experiment harness: one function per table/figure of the paper.
+//! The experiment harness: one function per table/figure of the paper,
+//! plus the speed gates of `reproduce check` ([`run_check`]).
 //!
 //! Every experiment takes a [`HarnessConfig`] and returns plain row
 //! structures; the `reproduce` binary and the Criterion benches only format
 //! and print them. All randomness is seeded, so runs are reproducible.
 
+mod check;
 mod error_table;
 mod figure1;
-mod net;
 mod outliers;
 mod perf;
 mod serve;
 mod table1;
 mod table2;
 
+pub use check::{run_check, Verdict};
 pub use error_table::{paper_error_spec, run_error_table, ErrorRow};
-pub use figure1::{run_figure1, Figure1Row};
-pub use net::{run_net, NetConnection, NetPass, NetReport, FLOOD_BURST, NET_CONNECTIONS};
+pub use figure1::{benchmark_pool, run_figure1, Figure1Row};
 pub use outliers::{outlier_distribution, OutlierRow, PAPER_THRESHOLDS};
-pub use perf::{run_perf, BackendPerfRow, KernelPerfRow, PerfReport};
+pub use perf::{run_kernels, KernelPerfRow};
 pub use serve::{
-    refinement_chain, run_recovery, run_refine_pass, run_serve, ChainStat, LatencySummary,
-    PoolBreakdown, RecoveryBench, RefinePass, ServePass, ServeReport,
+    refinement_chain, run_recovery, run_refine_pass, ChainStat, RecoveryBench, RefinePass,
 };
 pub use table1::{run_table1, Table1Row};
 pub use table2::{run_table2, Table2Row};
@@ -96,10 +96,10 @@ impl HarnessConfig {
     }
 
     /// The simulated device an experiment shares across all of its
-    /// data-parallel sessions. Creating it once per suite — rather than
-    /// once per run, as the old `Synthesizer`-based harness did — is the
-    /// batching win of the session API: thread-pool setup and device
-    /// statistics are paid and accumulated per experiment.
+    /// data-parallel sessions. The device carries a thread count and its
+    /// launch counters, not a thread pool: every batch it runs spawns its
+    /// workers afresh. Sharing it accumulates the device statistics per
+    /// experiment rather than per run.
     pub fn device(&self) -> Device {
         Device::with_threads(self.device_threads)
     }

@@ -1,25 +1,5 @@
-//! The `serve` experiment: service throughput over the Table 1 pool.
+//! The service-side speed comparisons of `reproduce check`:
 //!
-//! Replays the shared benchmark pool through a [`ShardRouter`] of
-//! [`SynthService`](rei_service::SynthService) pools three times:
-//!
-//! * a **cold pass** that submits every specification twice from empty
-//!   caches — the duplicates exercise in-flight coalescing (or, when the
-//!   original already finished, the result cache), so the pool's worth of
-//!   duplicate traffic triggers no duplicate synthesis;
-//! * a **warm pass** that resubmits the whole pool against the populated
-//!   caches — the replay should be answered (almost) entirely from cache
-//!   and therefore run in strictly less wall-clock than the cold pass;
-//! * a **restart pass** through a *fresh* router over the same persistent
-//!   cache directory — the first router's shutdown compacted each shard's
-//!   JSONL file, so the new router (a new process, as far as the caches
-//!   can tell) answers the replay from disk-warmed caches without
-//!   running a single synthesis;
-//! * a **fused pass** that bursts the whole pool at a standalone
-//!   single-worker service — every request behind the first queues up, so
-//!   the worker drains them into fused level sweeps and the batch
-//!   counters prove cross-request fusion fired (`fused_requests` strictly
-//!   above `fused_batches`);
 //! * a **recovery pass** that fabricates a multi-segment write-ahead log
 //!   of synthetic records (small `roll_bytes`, as a crashed server would
 //!   leave behind) and times the read-only [`replay`] of it serially
@@ -34,175 +14,18 @@
 //!   comparison — the number behind the claim that refining a session
 //!   beats re-solving the strengthened specification from scratch.
 //!
-//! The report lands in the `service` section of `BENCH_core.json` next to
-//! the kernel and backend baselines (see `reproduce serve`), including a
-//! per-pool breakdown of the sharded traffic.
+//! The `check` module turns the numbers into pass/fail lines.
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rei_lang::{Spec, Word};
-use rei_service::json::Json;
-use rei_service::{
-    replay, RouterConfig, RouterSnapshot, ServiceConfig, ShardRouter, SynthRequest, SynthService,
-    WalOptions, WalStore,
-};
+use rei_service::{replay, ServiceConfig, SynthRequest, SynthService, WalOptions, WalStore};
 
 use crate::costs::REFERENCE;
 use crate::harness::figure1::benchmark_pool;
 use crate::harness::HarnessConfig;
-
-/// Counters of one pass over the pool.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServePass {
-    /// Requests submitted in this pass.
-    pub submitted: u64,
-    /// Wall-clock seconds from first submission to last response.
-    pub wall_seconds: f64,
-    /// Responses carrying an expression.
-    pub solved: usize,
-    /// Responses carrying an error (timeout, not found, …).
-    pub failed: usize,
-    /// Requests answered from the result cache.
-    pub cache_hits: u64,
-    /// Requests coalesced onto an identical in-flight job.
-    pub coalesced: u64,
-}
-
-impl ServePass {
-    /// `cache_hits / submitted` — the acceptance gauge of the warm and
-    /// restart passes.
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.submitted == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.submitted as f64
-        }
-    }
-
-    fn to_json(self) -> Json {
-        Json::object([
-            ("submitted", Json::uint(self.submitted)),
-            ("wall_seconds", Json::fixed(self.wall_seconds, 4)),
-            ("solved", Json::uint(self.solved as u64)),
-            ("failed", Json::uint(self.failed as u64)),
-            ("cache_hits", Json::uint(self.cache_hits)),
-            ("coalesced", Json::uint(self.coalesced)),
-            ("cache_hit_rate", Json::fixed(self.cache_hit_rate(), 4)),
-        ])
-    }
-}
-
-/// Final counters of one pool of the sharded cold+warm router.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolBreakdown {
-    /// The pool's name (`pool-0` …).
-    pub name: String,
-    /// Requests routed to this pool across the cold and warm passes.
-    pub submitted: u64,
-    /// Cache-served requests of this pool.
-    pub cache_hits: u64,
-    /// Coalesced requests of this pool.
-    pub coalesced: u64,
-    /// Fresh jobs this pool's workers completed.
-    pub completed: u64,
-    /// Worker threads of this pool.
-    pub workers: usize,
-}
-
-impl PoolBreakdown {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("pool", Json::str(&self.name)),
-            ("submitted", Json::uint(self.submitted)),
-            ("cache_hits", Json::uint(self.cache_hits)),
-            ("coalesced", Json::uint(self.coalesced)),
-            ("completed", Json::uint(self.completed)),
-            ("workers", Json::uint(self.workers as u64)),
-        ])
-    }
-}
-
-/// Exact nearest-rank percentiles over one pass's end-to-end request
-/// latencies, measured client-side from each response's `waited`
-/// (submission to completion). These are ground truth for the ≤ 1/16
-/// relative error the service-side histograms guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Number of requests sampled.
-    pub count: usize,
-    /// Median end-to-end latency in milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile end-to-end latency in milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile end-to-end latency in milliseconds.
-    pub p99_ms: f64,
-}
-
-impl LatencySummary {
-    /// Sorts the samples and reads exact nearest-rank quantiles.
-    fn from_samples(samples: &[Duration]) -> Self {
-        let mut ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-        ms.sort_by(f64::total_cmp);
-        let pick = |q: f64| -> f64 {
-            match ms.len() {
-                0 => 0.0,
-                len => ms[((q * len as f64).ceil() as usize).clamp(1, len) - 1],
-            }
-        };
-        Self {
-            count: ms.len(),
-            p50_ms: pick(0.50),
-            p95_ms: pick(0.95),
-            p99_ms: pick(0.99),
-        }
-    }
-
-    fn to_json(self) -> Json {
-        Json::object([
-            ("count", Json::uint(self.count as u64)),
-            ("p50_ms", Json::fixed(self.p50_ms, 3)),
-            ("p95_ms", Json::fixed(self.p95_ms, 3)),
-            ("p99_ms", Json::fixed(self.p99_ms, 3)),
-        ])
-    }
-}
-
-/// Counters of the fused-batch pass: the pool burst at a single-worker
-/// service so the queue backs up and the worker drains fused batches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusedPass {
-    /// Requests submitted in the burst.
-    pub submitted: u64,
-    /// Wall-clock seconds from first submission to last response.
-    pub wall_seconds: f64,
-    /// Responses carrying an expression.
-    pub solved: usize,
-    /// Responses carrying an error.
-    pub failed: usize,
-    /// The service's fuse limit (batch size cap).
-    pub fuse_limit: usize,
-    /// Fused level sweeps the worker ran (batches of ≥ 2 requests).
-    pub fused_batches: u64,
-    /// Requests served by those sweeps. Strictly above `fused_batches`
-    /// whenever fusion genuinely shared a sweep.
-    pub fused_requests: u64,
-}
-
-impl FusedPass {
-    fn to_json(self) -> Json {
-        Json::object([
-            ("submitted", Json::uint(self.submitted)),
-            ("wall_seconds", Json::fixed(self.wall_seconds, 4)),
-            ("solved", Json::uint(self.solved as u64)),
-            ("failed", Json::uint(self.failed as u64)),
-            ("fuse_limit", Json::uint(self.fuse_limit as u64)),
-            ("fused_batches", Json::uint(self.fused_batches)),
-            ("fused_requests", Json::uint(self.fused_requests)),
-        ])
-    }
-}
 
 /// Serial-versus-parallel recovery timings over a fabricated
 /// multi-segment write-ahead log (see [`run_recovery`]).
@@ -234,20 +57,6 @@ impl RecoveryBench {
         } else {
             0.0
         }
-    }
-
-    fn to_json(self) -> Json {
-        Json::object([
-            ("records", Json::uint(self.records)),
-            ("segments", Json::uint(self.segments as u64)),
-            ("loaded", Json::uint(self.loaded)),
-            ("serial_seconds", Json::fixed(self.serial_seconds, 6)),
-            ("parallel_seconds", Json::fixed(self.parallel_seconds, 6)),
-            ("threads", Json::uint(self.threads as u64)),
-            ("available_cores", Json::uint(self.available_cores as u64)),
-            ("rounds", Json::uint(self.rounds as u64)),
-            ("speedup", Json::fixed(self.speedup(), 2)),
-        ])
     }
 }
 
@@ -315,17 +124,6 @@ pub struct ChainStat {
     pub cold_seconds: f64,
 }
 
-impl ChainStat {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("base_examples", Json::uint(self.base_examples as u64)),
-            ("steps", Json::uint(self.steps as u64)),
-            ("refine_seconds", Json::fixed(self.refine_seconds, 6)),
-            ("cold_seconds", Json::fixed(self.cold_seconds, 6)),
-        ])
-    }
-}
-
 /// Counters of the interactive-refinement pass: warm `refine` steps
 /// against a session versus cold re-solves of the same strengthened
 /// specifications.
@@ -354,27 +152,6 @@ impl RefinePass {
         } else {
             0.0
         }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("chains", Json::uint(self.chains as u64)),
-            ("steps", Json::uint(self.steps)),
-            ("warm", Json::uint(self.warm)),
-            (
-                "refine_seconds_total",
-                Json::fixed(self.refine_seconds_total, 6),
-            ),
-            (
-                "cold_seconds_total",
-                Json::fixed(self.cold_seconds_total, 6),
-            ),
-            ("speedup", Json::fixed(self.speedup(), 2)),
-            (
-                "per_chain",
-                Json::array(self.per_chain.iter().map(ChainStat::to_json)),
-            ),
-        ])
     }
 }
 
@@ -515,379 +292,9 @@ pub fn run_refine_pass(config: &HarnessConfig) -> RefinePass {
     pass
 }
 
-/// The full serve-throughput report.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Worker threads of each pool.
-    pub workers: usize,
-    /// Canonical backend name each worker session runs.
-    pub backend: String,
-    /// Job-queue capacity of each pool.
-    pub queue_capacity: usize,
-    /// Number of distinct specifications in the pool.
-    pub pool_size: usize,
-    /// The cold pass (duplicated submissions, empty caches).
-    pub cold: ServePass,
-    /// The warm replay pass (one submission per spec, populated caches).
-    pub warm: ServePass,
-    /// The replay through a fresh router warmed from the persistent
-    /// cache files the first router compacted at shutdown.
-    pub restart: ServePass,
-    /// Persisted records that warmed the restarted router's caches.
-    pub restart_disk_loaded: u64,
-    /// End-to-end latency percentiles of the cold pass.
-    pub cold_latency: LatencySummary,
-    /// End-to-end latency percentiles of the warm replay pass.
-    pub warm_latency: LatencySummary,
-    /// The fused-batch pass through a standalone single-worker service.
-    pub fused: FusedPass,
-    /// Serial-versus-parallel recovery timings over a fabricated
-    /// multi-segment write-ahead log.
-    pub recovery: RecoveryBench,
-    /// The interactive-refinement pass: warm session refines versus cold
-    /// re-solves of the same strengthened specifications.
-    pub refine: RefinePass,
-    /// Per-pool breakdown of the cold+warm router.
-    pub pools: Vec<PoolBreakdown>,
-}
-
-impl ServeReport {
-    /// `cold.wall_seconds / warm.wall_seconds` (∞-safe: 0 when warm is 0).
-    pub fn replay_speedup(&self) -> f64 {
-        if self.warm.wall_seconds > 0.0 {
-            self.cold.wall_seconds / self.warm.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// The `service` section merged into `BENCH_core.json`. v3 added the
-    /// `fused` pass: cross-request batch-fusion counters from a
-    /// single-worker burst. v4 added the `latency` section: exact
-    /// client-side end-to-end p50/p95/p99 of the cold and warm passes.
-    /// v5 added the `recovery` section: serial-versus-parallel replay of
-    /// a fabricated multi-segment write-ahead log. v6 adds the `refine`
-    /// section: interactive refinement chains against warm sessions
-    /// versus cold re-solves.
-    pub fn to_json_value(&self) -> Json {
-        Json::object([
-            ("schema", Json::str("rei-bench/service-v6")),
-            ("workers", Json::uint(self.workers as u64)),
-            ("backend", Json::str(&self.backend)),
-            ("queue_capacity", Json::uint(self.queue_capacity as u64)),
-            ("pool", Json::uint(self.pool_size as u64)),
-            ("cold", self.cold.to_json()),
-            ("warm", self.warm.to_json()),
-            ("restart", self.restart.to_json()),
-            ("restart_disk_loaded", Json::uint(self.restart_disk_loaded)),
-            (
-                "latency",
-                Json::object([
-                    ("cold", self.cold_latency.to_json()),
-                    ("warm", self.warm_latency.to_json()),
-                ]),
-            ),
-            ("fused", self.fused.to_json()),
-            ("recovery", self.recovery.to_json()),
-            ("refine", self.refine.to_json()),
-            ("replay_speedup", Json::fixed(self.replay_speedup(), 2)),
-            (
-                "pools",
-                Json::array(self.pools.iter().map(PoolBreakdown::to_json)),
-            ),
-        ])
-    }
-}
-
-fn run_pass(
-    router: &ShardRouter,
-    specs: impl Iterator<Item = rei_lang::Spec>,
-) -> (f64, usize, usize, LatencySummary) {
-    let started = Instant::now();
-    let handles: Vec<_> = specs
-        .map(|spec| {
-            router
-                .submit(SynthRequest::new(spec))
-                .expect("router accepts while open")
-        })
-        .collect();
-    let (mut solved, mut failed) = (0, 0);
-    let mut latencies = Vec::with_capacity(handles.len());
-    for handle in &handles {
-        let response = handle.wait();
-        latencies.push(response.waited);
-        match response.outcome {
-            Ok(_) => solved += 1,
-            Err(_) => failed += 1,
-        }
-    }
-    let latency = LatencySummary::from_samples(&latencies);
-    (started.elapsed().as_secs_f64(), solved, failed, latency)
-}
-
-fn pass_counters(
-    snapshot: &RouterSnapshot,
-    baseline: &RouterSnapshot,
-    wall_seconds: f64,
-    solved: usize,
-    failed: usize,
-) -> ServePass {
-    let (now, before) = (snapshot.rollup(), baseline.rollup());
-    ServePass {
-        submitted: now.submitted - before.submitted,
-        wall_seconds,
-        solved,
-        failed,
-        cache_hits: now.cache_hits - before.cache_hits,
-        coalesced: now.coalesced - before.coalesced,
-    }
-}
-
-/// Bursts the whole pool at a standalone single-worker service so every
-/// request behind the first backs up in the queue and the worker drains
-/// them as fused level sweeps. One worker makes the backlog — and with
-/// it `fused_requests > fused_batches` — deterministic: submission takes
-/// microseconds, the first synthesis milliseconds.
-fn run_fused_pass(config: &HarnessConfig, fuse_limit: usize) -> FusedPass {
-    let pool = benchmark_pool(config);
-    let service = ServiceConfig::new(1)
-        .with_queue_capacity(pool.len().max(1))
-        .with_fuse_limit(fuse_limit)
-        .with_synth(config.synth_config(REFERENCE.costs));
-    let service = SynthService::start(service).expect("harness service config is valid");
-    let started = Instant::now();
-    let handles: Vec<_> = pool
-        .iter()
-        .map(|b| {
-            service
-                .submit(SynthRequest::new(b.spec.clone()))
-                .expect("queue sized for the whole burst")
-        })
-        .collect();
-    let (mut solved, mut failed) = (0, 0);
-    for handle in &handles {
-        match handle.wait().outcome {
-            Ok(_) => solved += 1,
-            Err(_) => failed += 1,
-        }
-    }
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let snapshot = service.shutdown();
-    FusedPass {
-        submitted: handles.len() as u64,
-        wall_seconds,
-        solved,
-        failed,
-        fuse_limit,
-        fused_batches: snapshot.fused_batches,
-        fused_requests: snapshot.fused_requests,
-    }
-}
-
-/// Runs the serve experiment: the Table 1 pool through a shard router of
-/// `pools` pools with `workers` workers each (cold with duplicates, a
-/// cache-warm replay, then a disk-warm replay through a fresh router
-/// restarted over `cache_dir`), plus the fused-batch burst through a
-/// standalone single-worker service.
-pub fn run_serve(
-    config: &HarnessConfig,
-    workers: usize,
-    pools: usize,
-    cache_dir: &Path,
-) -> ServeReport {
-    let pool = benchmark_pool(config);
-    let synth = config.synth_config(REFERENCE.costs);
-    let backend = synth.backend().name().to_string();
-    // Room for the duplicated cold pass without submit-side blocking.
-    let queue_capacity = (2 * pool.len()).max(1);
-    let service = ServiceConfig::new(workers)
-        .with_queue_capacity(queue_capacity)
-        .with_synth(synth);
-    let router_config = RouterConfig::identical(pools, service).with_cache_dir(cache_dir);
-    let router = ShardRouter::start(router_config.clone()).expect("harness router config is valid");
-
-    let cold_specs = pool.iter().flat_map(|b| [b.spec.clone(), b.spec.clone()]);
-    let (cold_wall, cold_solved, cold_failed, cold_latency) = run_pass(&router, cold_specs);
-    let after_cold = router.metrics();
-    let cold = pass_counters(
-        &after_cold,
-        &RouterSnapshot::default(),
-        cold_wall,
-        cold_solved,
-        cold_failed,
-    );
-
-    let warm_specs = pool.iter().map(|b| b.spec.clone());
-    let (warm_wall, warm_solved, warm_failed, warm_latency) = run_pass(&router, warm_specs);
-    // Shutdown compacts each shard's persistent cache file.
-    let after_warm = router.shutdown();
-    let warm = pass_counters(
-        &after_warm,
-        &after_cold,
-        warm_wall,
-        warm_solved,
-        warm_failed,
-    );
-    let pools_breakdown = after_warm
-        .pools
-        .iter()
-        .map(|(name, snapshot)| PoolBreakdown {
-            name: name.clone(),
-            submitted: snapshot.submitted,
-            cache_hits: snapshot.cache_hits,
-            coalesced: snapshot.coalesced,
-            completed: snapshot.completed,
-            workers: snapshot.workers.len(),
-        })
-        .collect();
-
-    // "Restart": a fresh router over the same cache directory. Its pools
-    // warm from the compacted files, so the replay is disk-served.
-    let restarted = ShardRouter::start(router_config).expect("harness router config is valid");
-    let restart_specs = pool.iter().map(|b| b.spec.clone());
-    let (restart_wall, restart_solved, restart_failed, _) = run_pass(&restarted, restart_specs);
-    let after_restart = restarted.shutdown();
-    let restart = pass_counters(
-        &after_restart,
-        &RouterSnapshot::default(),
-        restart_wall,
-        restart_solved,
-        restart_failed,
-    );
-    let restart_disk_loaded = after_restart.rollup().disk_loaded;
-
-    let fused = run_fused_pass(config, rei_service::DEFAULT_FUSE_LIMIT);
-
-    // The fabricated recovery store lives (briefly) beside the pool
-    // stores; `pool-K` and `recovery-bench` never collide.
-    let recovery_records = match config.scale {
-        crate::harness::Scale::Quick => 5_000,
-        crate::harness::Scale::Full => 40_000,
-    };
-    let recovery = run_recovery(cache_dir, recovery_records);
-
-    let refine = run_refine_pass(config);
-
-    ServeReport {
-        workers,
-        backend,
-        queue_capacity,
-        pool_size: pool.len(),
-        cold,
-        warm,
-        restart,
-        restart_disk_loaded,
-        cold_latency,
-        warm_latency,
-        fused,
-        recovery,
-        refine,
-        pools: pools_breakdown,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_config() -> HarnessConfig {
-        let mut config = HarnessConfig::quick();
-        config.time_budget = std::time::Duration::from_millis(500);
-        config
-    }
-
-    fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("rei-bench-serve-{}-{tag}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
-    #[test]
-    fn warm_and_restart_replays_are_cache_served_and_faster() {
-        let config = tiny_config();
-        let dir = temp_cache_dir("warm");
-        let report = run_serve(&config, 4, 2, &dir);
-        assert_eq!(report.workers, 4);
-        assert_eq!(report.backend, "cpu-sequential");
-        assert_eq!(report.cold.submitted, 2 * report.pool_size as u64);
-        // The duplicated cold submissions never trigger a second run.
-        assert_eq!(
-            report.cold.cache_hits + report.cold.coalesced,
-            report.pool_size as u64
-        );
-        // Every benchmark the cold pass solved is served from cache on
-        // replay; the quick pool solves fully, so the rate is 1.0.
-        assert_eq!(report.warm.submitted, report.pool_size as u64);
-        assert!(
-            report.warm.cache_hit_rate() >= 0.9,
-            "warm hit rate {:.2}",
-            report.warm.cache_hit_rate()
-        );
-        assert!(
-            report.warm.wall_seconds < report.cold.wall_seconds,
-            "warm {} vs cold {}",
-            report.warm.wall_seconds,
-            report.cold.wall_seconds
-        );
-        assert!(report.replay_speedup() > 1.0);
-        // The restarted router never saw the first router's memory; its
-        // hits all come from the compacted cache files on disk.
-        assert_eq!(report.restart.submitted, report.pool_size as u64);
-        assert!(
-            report.restart.cache_hit_rate() >= 0.9,
-            "restart hit rate {:.2}",
-            report.restart.cache_hit_rate()
-        );
-        assert!(report.restart_disk_loaded >= report.restart.cache_hits);
-        // The single-worker burst backs up the queue, so the worker
-        // drains genuinely fused batches: strictly more requests than
-        // sweeps.
-        assert_eq!(report.fused.submitted, report.pool_size as u64);
-        assert!(report.fused.fused_batches > 0, "no fused sweeps ran");
-        assert!(
-            report.fused.fused_requests > report.fused.fused_batches,
-            "fusion never shared a sweep: {} requests in {} batches",
-            report.fused.fused_requests,
-            report.fused.fused_batches
-        );
-        // Client-side latency percentiles cover every request, are
-        // ordered, and the cache-served replay beats the cold tail.
-        assert_eq!(report.cold_latency.count as u64, report.cold.submitted);
-        assert_eq!(report.warm_latency.count as u64, report.warm.submitted);
-        assert!(report.cold_latency.p50_ms <= report.cold_latency.p95_ms);
-        assert!(report.cold_latency.p95_ms <= report.cold_latency.p99_ms);
-        assert!(
-            report.warm_latency.p99_ms < report.cold_latency.p99_ms,
-            "warm p99 {} vs cold p99 {}",
-            report.warm_latency.p99_ms,
-            report.cold_latency.p99_ms
-        );
-        // The sharded traffic is accounted per pool and sums back up.
-        assert_eq!(report.pools.len(), 2);
-        let submitted: u64 = report.pools.iter().map(|p| p.submitted).sum();
-        assert_eq!(submitted, report.cold.submitted + report.warm.submitted);
-        // The recovery pass replayed a genuinely multi-segment store and
-        // loaded every fabricated record, in both modes.
-        assert!(report.recovery.segments >= 4, "{:?}", report.recovery);
-        assert_eq!(report.recovery.loaded, report.recovery.records);
-        assert!(report.recovery.serial_seconds > 0.0);
-        assert!(report.recovery.parallel_seconds > 0.0);
-        // The refine pass played real chains, the warm session engaged,
-        // and refining beat cold re-solving the same strengthened specs.
-        assert!(report.refine.chains > 0, "no benchmark yielded a chain");
-        assert!(report.refine.steps > 0);
-        assert!(report.refine.warm > 0, "no refine step reused state");
-        assert_eq!(report.refine.per_chain.len(), report.refine.chains);
-        assert!(
-            report.refine.refine_seconds_total < report.refine.cold_seconds_total,
-            "refine {} vs cold {}",
-            report.refine.refine_seconds_total,
-            report.refine.cold_seconds_total
-        );
-        assert!(report.refine.speedup() > 1.0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn refinement_chains_defer_only_infix_examples() {
@@ -915,7 +322,8 @@ mod tests {
 
     #[test]
     fn the_recovery_bench_cleans_up_and_uses_every_core() {
-        let dir = temp_cache_dir("recovery");
+        let dir = std::env::temp_dir().join(format!("rei-bench-recovery-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let bench = run_recovery(&dir, 2_000);
         assert_eq!(bench.records, 2_000);
@@ -928,166 +336,5 @@ mod tests {
             "the fabricated store is removed"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn report_json_has_the_service_shape() {
-        let pass = |submitted, wall_seconds, solved, cache_hits, coalesced| ServePass {
-            submitted,
-            wall_seconds,
-            solved,
-            failed: 0,
-            cache_hits,
-            coalesced,
-        };
-        let report = ServeReport {
-            workers: 4,
-            backend: "cpu-sequential".into(),
-            queue_capacity: 10,
-            pool_size: 5,
-            cold: pass(10, 1.5, 10, 2, 3),
-            warm: pass(5, 0.1, 5, 5, 0),
-            restart: pass(5, 0.1, 5, 5, 0),
-            restart_disk_loaded: 5,
-            cold_latency: LatencySummary {
-                count: 10,
-                p50_ms: 2.0,
-                p95_ms: 9.0,
-                p99_ms: 12.0,
-            },
-            warm_latency: LatencySummary {
-                count: 5,
-                p50_ms: 0.05,
-                p95_ms: 0.2,
-                p99_ms: 0.2,
-            },
-            fused: FusedPass {
-                submitted: 5,
-                wall_seconds: 0.8,
-                solved: 5,
-                failed: 0,
-                fuse_limit: 4,
-                fused_batches: 2,
-                fused_requests: 4,
-            },
-            recovery: RecoveryBench {
-                records: 5000,
-                segments: 12,
-                loaded: 5000,
-                serial_seconds: 0.040,
-                parallel_seconds: 0.010,
-                threads: 4,
-                available_cores: 8,
-                rounds: 3,
-            },
-            refine: RefinePass {
-                chains: 2,
-                steps: 6,
-                warm: 5,
-                refine_seconds_total: 0.25,
-                cold_seconds_total: 1.0,
-                per_chain: vec![ChainStat {
-                    base_examples: 3,
-                    steps: 3,
-                    refine_seconds: 0.1,
-                    cold_seconds: 0.5,
-                }],
-            },
-            pools: vec![
-                PoolBreakdown {
-                    name: "pool-0".into(),
-                    submitted: 9,
-                    cache_hits: 4,
-                    coalesced: 2,
-                    completed: 3,
-                    workers: 4,
-                },
-                PoolBreakdown {
-                    name: "pool-1".into(),
-                    submitted: 6,
-                    cache_hits: 3,
-                    coalesced: 1,
-                    completed: 2,
-                    workers: 4,
-                },
-            ],
-        };
-        let json = report.to_json_value();
-        assert_eq!(
-            json.get("schema").and_then(Json::as_str),
-            Some("rei-bench/service-v6")
-        );
-        let refine = json.get("refine").unwrap();
-        assert_eq!(refine.get("chains").and_then(Json::as_u64), Some(2));
-        assert_eq!(refine.get("steps").and_then(Json::as_u64), Some(6));
-        assert_eq!(refine.get("warm").and_then(Json::as_u64), Some(5));
-        assert_eq!(refine.get("speedup").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(
-            refine
-                .get("per_chain")
-                .and_then(Json::as_array)
-                .map(|chains| chains.len()),
-            Some(1)
-        );
-        let recovery = json.get("recovery").unwrap();
-        assert_eq!(recovery.get("records").and_then(Json::as_u64), Some(5000));
-        assert_eq!(recovery.get("segments").and_then(Json::as_u64), Some(12));
-        assert_eq!(recovery.get("speedup").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(
-            recovery.get("available_cores").and_then(Json::as_u64),
-            Some(8)
-        );
-        let latency = json.get("latency").unwrap();
-        assert_eq!(
-            latency
-                .get("cold")
-                .and_then(|c| c.get("p99_ms"))
-                .and_then(Json::as_f64),
-            Some(12.0)
-        );
-        assert_eq!(
-            latency
-                .get("warm")
-                .and_then(|w| w.get("count"))
-                .and_then(Json::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            json.get("fused")
-                .and_then(|f| f.get("fused_requests"))
-                .and_then(Json::as_u64),
-            Some(4)
-        );
-        assert_eq!(
-            json.get("fused")
-                .and_then(|f| f.get("fuse_limit"))
-                .and_then(Json::as_u64),
-            Some(4)
-        );
-        assert_eq!(
-            json.get("warm")
-                .and_then(|w| w.get("cache_hit_rate"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            json.get("restart")
-                .and_then(|r| r.get("cache_hits"))
-                .and_then(Json::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            json.get("restart_disk_loaded").and_then(Json::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            json.get("replay_speedup").and_then(Json::as_f64),
-            Some(15.0)
-        );
-        let pools = json.get("pools").and_then(Json::as_array).unwrap();
-        assert_eq!(pools.len(), 2);
-        assert_eq!(pools[1].get("pool").and_then(Json::as_str), Some("pool-1"));
-        let parsed = Json::parse(&json.to_pretty()).unwrap();
-        assert_eq!(parsed, json);
     }
 }

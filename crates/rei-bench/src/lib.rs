@@ -12,7 +12,7 @@
 //!   paper's evaluation (Figure 1, Table 1, Table 2, the outlier
 //!   distribution and the allowed-error table of Section 5.2) and return
 //!   the rows as plain data that the `reproduce` binary and the Criterion
-//!   benches print.
+//!   benches print, plus the speed gates `reproduce check` runs.
 //!
 //! # Example
 //!

@@ -139,9 +139,10 @@ impl Backend for ThreadParallel {
 /// reusable simulated SIMT [`Device`].
 ///
 /// The device is created once (per backend) and shared across every run of
-/// the owning session, so thread-pool setup and statistics accumulate per
-/// session rather than per specification — the batching win the
-/// session API exists for. Use [`Device::reset_stats`] for per-run deltas.
+/// the owning session. It carries a thread count and counters, not a
+/// thread pool: each batch spawns its workers afresh. Its statistics
+/// accumulate per session rather than per specification; use
+/// [`Device::reset_stats`] for per-run deltas.
 #[derive(Debug, Clone)]
 pub struct DeviceParallel {
     device: Device,

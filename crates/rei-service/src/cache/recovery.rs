@@ -21,8 +21,8 @@ use super::CacheKey;
 
 /// What one recovery pass found and how long it took. Returned by the
 /// persistent cache open (`ResultCache::persistent`) and by the
-/// standalone [`replay`]; surfaced in service metrics and
-/// `BENCH_core.json` (`service.recovery`).
+/// standalone [`replay`]; surfaced in service metrics and timed by the
+/// recovery gate of `reproduce check`.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Wall-clock time of the replay (parse + merge).

@@ -1,11 +1,10 @@
 //! A minimal JSON document model with a writer and a parser.
 //!
 //! The workspace's serde shim provides neither a serializer nor a
-//! deserializer, so machine-readable output (`BENCH_core.json`, the service
-//! metrics snapshot) and input (`paresy serve` JSONL requests) are handled
-//! by this hand-rolled module instead. It used to live inlined in the
-//! benchmark harness; it is shared here so the perf baseline, the service
-//! metrics endpoint and the CLI all speak the same dialect.
+//! deserializer, so machine-readable output (the service metrics
+//! snapshot) and input (`paresy serve` JSONL requests) are handled by
+//! this hand-rolled module instead, shared so the service, the network
+//! front-end and the CLI all speak the same dialect.
 //!
 //! Numbers are stored *preformatted* (as their textual form): the writers
 //! in this workspace care about exact precision (`{:.2}` speedups, `{:.4}`
@@ -161,7 +160,7 @@ impl Json {
     }
 
     /// Renders the document pretty-printed with two-space indentation and
-    /// a trailing newline — the `BENCH_core.json` house style.
+    /// a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);

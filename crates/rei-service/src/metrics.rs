@@ -4,7 +4,7 @@
 //! the per-worker [`SessionStats`] rollup sits behind a mutex the workers
 //! touch once per job. [`MetricsSnapshot`] is a consistent-enough point
 //! read (counters are sampled independently) rendered as hand-rolled JSON
-//! in the `BENCH_core.json` house style via [`crate::json`].
+//! via [`crate::json`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

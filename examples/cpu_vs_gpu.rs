@@ -32,8 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let names = ["intro 10(0+1)*", "example 3.6", "section 5.2"];
 
-    // One session per backend; the parallel session owns the device for
-    // the whole batch, so pool setup is paid once, not per spec. The
+    // One session per backend; the parallel session owns the device (a
+    // thread count and launch counters; workers are spawned per batch)
+    // for the whole batch, so its statistics cover every spec. The
     // hardest instance (§5.2 at zero allowed error) can need billions of
     // candidates, so each run gets a budget — exactly the paper's
     // per-run-timeout protocol.

@@ -1,7 +1,6 @@
-//! Serving concurrent tenants from one warm worker pool: a miniature of
-//! the `reproduce serve` throughput experiment. A burst of requests —
-//! with many duplicates, as real multi-tenant traffic has — is pushed
-//! through a [`SynthService`]; the service coalesces identical in-flight
+//! Serving concurrent tenants from one warm worker pool. A burst of
+//! requests — with many duplicates, as real multi-tenant traffic has — is
+//! pushed through a [`SynthService`]; the service coalesces identical in-flight
 //! requests, answers repeats from its result cache, and reports the
 //! reuse through its metrics snapshot.
 //!

@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 
+use paresy::bench::costs::REFERENCE;
 use paresy::bench::generator::{generate_type2, Type2Params};
+use paresy::bench::harness::{benchmark_pool, HarnessConfig};
 use paresy::lang::Alphabet;
 use paresy::prelude::*;
 
@@ -210,6 +212,53 @@ fn backends_agree_on_a_64_word_closure() {
                 choice.name()
             );
             assert!(spec.is_satisfied_by(&result.regex));
+        }
+    }
+}
+
+/// The quick Table 1 pool solves on every backend through one session
+/// each, and the level-execution counters stay consistent: every backend
+/// claims chunks, the admission prefilter rejects at most every
+/// candidate, dedup keeps at most every candidate, and only the
+/// work-stealing backend steals.
+#[test]
+fn the_quick_pool_solves_on_every_backend_with_sane_level_counters() {
+    let config = HarnessConfig::quick();
+    let pool = benchmark_pool(&config);
+    assert!(!pool.is_empty());
+    let threads = Some(config.device_threads);
+    for (choice, name) in [
+        (BackendChoice::Sequential, "cpu-sequential"),
+        (
+            BackendChoice::ThreadParallel { threads },
+            "cpu-thread-parallel",
+        ),
+        (
+            BackendChoice::DeviceParallel { threads },
+            "gpu-sim-parallel",
+        ),
+    ] {
+        let synth = config.synth_config(REFERENCE.costs).with_backend(choice);
+        let mut session = SynthSession::new(synth).unwrap();
+        assert_eq!(session.backend_name(), name);
+        for bench in &pool {
+            let outcome = session.run(&bench.spec);
+            assert!(outcome.is_ok(), "{name} on {}: {outcome:?}", bench.name);
+        }
+        let stats = *session.stats();
+        assert_eq!(stats.solved, pool.len() as u64, "{name}: {stats:?}");
+        assert!(stats.elapsed > std::time::Duration::ZERO, "{name}");
+        assert!(stats.chunks_claimed > 0, "{name}: no chunks claimed");
+        assert!(
+            stats.unique_languages <= stats.candidates_generated,
+            "{name}: more rows than candidates: {stats:?}"
+        );
+        assert!(
+            stats.prefilter_rejects <= stats.candidates_generated,
+            "{name}: more rejects than candidates: {stats:?}"
+        );
+        if name != "cpu-thread-parallel" {
+            assert_eq!(stats.chunks_stolen, 0, "{name} cannot steal");
         }
     }
 }

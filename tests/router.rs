@@ -1,9 +1,11 @@
 //! Integration tests of the shard router: deterministic tenant routing,
-//! pool isolation under overload, and the cross-pool metrics rollup,
-//! through the public facade.
+//! pool isolation under overload, the cross-pool metrics rollup, and
+//! cache-served replays of the Table 1 pool, through the public facade.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use paresy::bench::costs::REFERENCE;
+use paresy::bench::harness::{benchmark_pool, HarnessConfig};
 use paresy::prelude::*;
 
 /// The §5.2 specification: at zero allowed error its search needs orders
@@ -165,4 +167,149 @@ fn rollup_equals_the_sum_of_per_pool_counters() {
     // least one earlier result somewhere.
     assert_eq!(rollup.solved + rollup.cache_hits + rollup.coalesced, 12);
     assert!(rollup.cache_hits + rollup.coalesced >= 1);
+}
+
+/// What one pass of requests through a router saw, client-side.
+struct Pass {
+    wall: Duration,
+    solved: usize,
+    /// Submission-to-completion latency of every request, sorted.
+    latencies: Vec<Duration>,
+}
+
+impl Pass {
+    /// Exact nearest-rank quantile of the pass's latencies.
+    fn quantile(&self, q: f64) -> Duration {
+        let len = self.latencies.len();
+        self.latencies[((q * len as f64).ceil() as usize).clamp(1, len) - 1]
+    }
+}
+
+fn run_pass(router: &ShardRouter, specs: impl Iterator<Item = Spec>) -> Pass {
+    let started = Instant::now();
+    let handles: Vec<JobHandle> = specs
+        .map(|spec| router.submit(SynthRequest::new(spec)).unwrap())
+        .collect();
+    let mut solved = 0;
+    let mut latencies = Vec::with_capacity(handles.len());
+    for handle in &handles {
+        let response = handle.wait();
+        latencies.push(response.waited);
+        solved += usize::from(response.outcome.is_ok());
+    }
+    latencies.sort();
+    Pass {
+        wall: started.elapsed(),
+        solved,
+        latencies,
+    }
+}
+
+/// Replays the quick Table 1 pool through a router of 2 pools x 4
+/// workers over a cache directory: a cold pass submitting every spec
+/// twice, a cache-warm replay, and a disk-warm replay through a fresh
+/// router over the same directory; then bursts the pool at a
+/// single-worker service, whose backlog must drain as fused sweeps.
+#[test]
+fn warm_and_restart_replays_are_cache_served_and_faster() {
+    let config = HarnessConfig::quick();
+    let pool = benchmark_pool(&config);
+    let specs = || pool.iter().map(|bench| bench.spec.clone());
+    let size = pool.len() as u64;
+    let dir = std::env::temp_dir().join(format!("paresy-router-replay-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let synth = config.synth_config(REFERENCE.costs);
+    assert_eq!(synth.backend().name(), "cpu-sequential");
+    let service = ServiceConfig::new(4)
+        .with_queue_capacity(2 * pool.len())
+        .with_synth(synth);
+    let router_config = RouterConfig::identical(2, service).with_cache_dir(&dir);
+
+    let router = ShardRouter::start(router_config.clone()).unwrap();
+    let cold = run_pass(&router, specs().flat_map(|spec| [spec.clone(), spec]));
+    let after_cold = router.metrics().rollup();
+    let warm = run_pass(&router, specs());
+    let snapshot = router.shutdown();
+    let after_warm = snapshot.rollup();
+
+    // The duplicated cold submissions never trigger a second run.
+    assert_eq!(after_cold.submitted, 2 * size);
+    assert_eq!(cold.solved, 2 * pool.len());
+    assert_eq!(after_cold.cache_hits + after_cold.coalesced, size);
+    // The warm replay is cache-served and beats the cold pass, in wall
+    // clock and in its latency tail.
+    assert_eq!(after_warm.submitted - after_cold.submitted, size);
+    assert_eq!(warm.solved, pool.len());
+    let warm_hits = after_warm.cache_hits - after_cold.cache_hits;
+    assert!(
+        warm_hits as f64 >= 0.9 * size as f64,
+        "warm hits {warm_hits} of {size}"
+    );
+    assert!(
+        warm.wall < cold.wall,
+        "warm {:?} vs cold {:?}",
+        warm.wall,
+        cold.wall
+    );
+    for pass in [&cold, &warm] {
+        assert!(pass.quantile(0.50) <= pass.quantile(0.95));
+        assert!(pass.quantile(0.95) <= pass.quantile(0.99));
+    }
+    assert_eq!(cold.latencies.len() as u64, after_cold.submitted);
+    assert_eq!(warm.latencies.len(), pool.len());
+    assert!(
+        warm.quantile(0.99) < cold.quantile(0.99),
+        "warm p99 {:?} vs cold p99 {:?}",
+        warm.quantile(0.99),
+        cold.quantile(0.99)
+    );
+    // Both pools of 4 workers saw traffic, and their counters add up to
+    // the two passes.
+    assert_eq!(snapshot.pools.len(), 2);
+    for (_, pool_snapshot) in &snapshot.pools {
+        assert_eq!(pool_snapshot.workers.len(), 4);
+    }
+    let routed: u64 = snapshot.pools.iter().map(|(_, s)| s.submitted).sum();
+    assert_eq!(routed, 3 * size);
+
+    // A fresh router over the same directory never saw the first one's
+    // memory: its hits come from the checkpoints on disk.
+    let restarted = ShardRouter::start(router_config).unwrap();
+    let restart = run_pass(&restarted, specs());
+    let after_restart = restarted.shutdown().rollup();
+    assert_eq!(after_restart.submitted, size);
+    assert_eq!(restart.solved, pool.len());
+    assert!(
+        after_restart.cache_hits as f64 >= 0.9 * size as f64,
+        "restart hits {} of {size}",
+        after_restart.cache_hits
+    );
+    assert!(after_restart.disk_loaded > 0);
+    assert!(after_restart.disk_loaded >= after_restart.cache_hits);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // One worker makes the backlog deterministic: submission takes
+    // microseconds, the first synthesis milliseconds.
+    const { assert!(paresy::service::DEFAULT_FUSE_LIMIT >= 2) };
+    let single = ServiceConfig::new(1)
+        .with_queue_capacity(pool.len())
+        .with_fuse_limit(paresy::service::DEFAULT_FUSE_LIMIT)
+        .with_synth(config.synth_config(REFERENCE.costs));
+    let service = SynthService::start(single).unwrap();
+    let handles: Vec<JobHandle> = specs()
+        .map(|spec| service.submit(SynthRequest::new(spec)).unwrap())
+        .collect();
+    for handle in &handles {
+        handle.wait();
+    }
+    let fused = service.shutdown();
+    assert_eq!(fused.submitted, size);
+    assert_eq!(fused.solved + fused.failed, size);
+    assert!(fused.fused_batches > 0, "no fused sweeps ran");
+    assert!(
+        fused.fused_requests > fused.fused_batches,
+        "fusion never shared a sweep: {} requests in {} batches",
+        fused.fused_requests,
+        fused.fused_batches
+    );
 }
