@@ -32,9 +32,6 @@ Flags:
   --max-enqueued N     rollup jobs.enqueued <= N (e.g. 0 proves a
                        disk-warm restart executed zero syntheses)
   --min-disk-loaded N  rollup cache.disk_loaded >= N
-  --min-fused N        rollup jobs.fused_requests >= N, and strictly more
-                       fused requests than fused batches (cross-request
-                       batch fusion genuinely shared a level sweep)
   --min-restart-hit-rate R
                        at least fraction R of the result lines carry
                        "source": "cache" (a restarted — or kill-9'd and
@@ -67,7 +64,6 @@ def parse_args():
     parser.add_argument("--pools", type=int)
     parser.add_argument("--max-enqueued", type=int)
     parser.add_argument("--min-disk-loaded", type=int)
-    parser.add_argument("--min-fused", type=int)
     parser.add_argument("--min-restart-hit-rate", type=float)
     return parser.parse_args()
 
@@ -156,18 +152,6 @@ def main():
         loaded = metrics["rollup"]["cache"]["disk_loaded"]
         assert loaded >= args.min_disk_loaded, (
             f"{loaded} records disk-loaded, expected >= {args.min_disk_loaded}"
-        )
-    if args.min_fused is not None:
-        assert metrics is not None, "--min-fused needs --metrics"
-        jobs = metrics["rollup"]["jobs"]
-        fused_requests = jobs["fused_requests"]
-        fused_batches = jobs["fused_batches"]
-        assert fused_requests >= args.min_fused, (
-            f"{fused_requests} fused requests, expected >= {args.min_fused}"
-        )
-        assert fused_requests > fused_batches, (
-            f"fusion never shared a sweep: {fused_requests} requests "
-            f"in {fused_batches} batches"
         )
     if args.min_restart_hit_rate is not None:
         hits = sum(1 for l in lines if l.get("source") == "cache")

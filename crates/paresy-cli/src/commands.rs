@@ -45,10 +45,7 @@ pub fn run_command(command: &Command) -> Result<String, String> {
                 )?;
                 Ok(String::new())
             } else {
-                let mut input = String::new();
-                std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut input)
-                    .map_err(|err| format!("cannot read stdin: {err}"))?;
-                run_serve_on(options, &input)
+                run_serve_on(options, std::io::stdin().lock())
             }
         }
         Command::Suite { task } => run_suite(*task),

@@ -62,12 +62,13 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
+use std::str::Utf8Error;
 use std::time::Duration;
 
 use rei_core::SynthConfig;
 use rei_net::protocol::{
-    bad_request_line, hello_line, parse_line, rejected_line, response_line, stamped, verb_ok_line,
-    Input, Verb,
+    bad_request_line, hello_line, not_utf8_line, parse_line, read_line, rejected_line,
+    response_line, stamped, verb_ok_line, Input, Verb,
 };
 use rei_net::{install_shutdown_signals, session_verb_line, NetConfig, NetServer};
 use rei_service::json::Json;
@@ -153,6 +154,7 @@ fn submit_rejected_line(id: Json, err: &ServiceError) -> Json {
 
 /// Runs the serve command over `input` (one JSON request per line) and
 /// returns the JSONL output, one result per request in request order.
+/// A line that is not UTF-8 is answered with a `bad-request`.
 /// Control verbs (session opens/closes included) execute as they are
 /// read, before any later request is submitted, so an
 /// open→refine→…→close script behaves as written.
@@ -160,9 +162,9 @@ fn submit_rejected_line(id: Json, err: &ServiceError) -> Json {
 /// # Errors
 ///
 /// Returns a message when the service configuration is invalid (or a
-/// persistent cache file cannot be opened); malformed *requests* are
-/// reported inline as `bad-request` result lines instead.
-pub fn run_serve_on(options: &ServeOptions, input: &str) -> Result<String, String> {
+/// persistent cache file cannot be opened) or `input` fails; malformed
+/// *requests* are reported inline as `bad-request` result lines instead.
+pub fn run_serve_on(options: &ServeOptions, mut input: impl BufRead) -> Result<String, String> {
     apply_log_level(options);
     let router = build_router(options)?;
 
@@ -173,13 +175,22 @@ pub fn run_serve_on(options: &ServeOptions, input: &str) -> Result<String, Strin
         Rendered(Json),
     }
     let mut lines = Vec::new();
-    for (index, line) in input.lines().enumerate() {
+    let mut buf = Vec::new();
+    let mut number = 0;
+    while let Some(line) =
+        read_line(&mut input, &mut buf).map_err(|err| format!("cannot read input: {err}"))?
+    {
+        number += 1;
+        let Ok(line) = line else {
+            lines.push(Line::Rendered(not_utf8_line(number)));
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(line, index + 1) {
+        match parse_line(line, number) {
             Input::Control(verb) => {
-                lines.push(Line::Rendered(stdin_verb_line(&router, &verb, index + 1)));
+                lines.push(Line::Rendered(stdin_verb_line(&router, &verb, number)));
             }
             Input::Request(parsed) => match router.submit(parsed.request) {
                 Ok(handle) => lines.push(Line::Submitted(parsed.id, handle)),
@@ -248,7 +259,8 @@ fn drain_completed(
 /// sits in a blocking `read`, a join would hang the error return until
 /// the client happened to send another line. An abandoned reader exits
 /// on its next line (its channel is closed); in the CLI the process
-/// exits first anyway. This is also why `input` must be `'static`.
+/// exits first anyway. This is also why `input` must be `'static`. A
+/// line that is not UTF-8 is answered with a `bad-request`.
 ///
 /// # Errors
 ///
@@ -256,15 +268,21 @@ fn drain_completed(
 /// input/output streams fail; malformed requests are reported inline.
 pub fn run_serve_stream(
     options: &ServeOptions,
-    input: impl BufRead + Send + 'static,
+    mut input: impl BufRead + Send + 'static,
     mut out: impl Write,
 ) -> Result<(), String> {
     apply_log_level(options);
     let router = build_router(options)?;
     let mut pending: VecDeque<(Json, JobHandle)> = VecDeque::new();
-    let (sender, lines) = std::sync::mpsc::channel::<std::io::Result<String>>();
+    let (sender, lines) = std::sync::mpsc::channel::<std::io::Result<Result<String, Utf8Error>>>();
     std::thread::spawn(move || {
-        for line in input.lines() {
+        let mut buf = Vec::new();
+        loop {
+            let line = match read_line(&mut input, &mut buf) {
+                Ok(None) => return,
+                Ok(Some(line)) => Ok(line.map(str::to_owned)),
+                Err(err) => Err(err),
+            };
             let failed = line.is_err();
             if sender.send(line).is_err() || failed {
                 return;
@@ -281,6 +299,10 @@ pub fn run_serve_stream(
             Ok(line) => {
                 let line = line.map_err(|err| format!("cannot read input: {err}"))?;
                 number += 1;
+                let Ok(line) = line else {
+                    emit(&mut out, &not_utf8_line(number))?;
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -378,7 +400,7 @@ mod tests {
 
 {"id": 7, "pos": ["0", "00"], "neg": ["1", "10"]}
 "#;
-        let out = run_serve_on(&options(), input).unwrap();
+        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
         let results = lines(&out);
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].get("id").and_then(Json::as_str), Some("intro"));
@@ -399,6 +421,33 @@ mod tests {
             results[2].get("source").and_then(Json::as_str),
             Some("fresh")
         );
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_bad_request_in_both_stdin_modes() {
+        let input: &[u8] = b"{\"id\": \"a\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"]}\n\
+                             \xff\xfe\n\
+                             {\"id\": \"b\", \"pos\": [\"1\", \"11\"], \"neg\": [\"0\"]}\n";
+        let buffered = lines(&run_serve_on(&options(), input).unwrap());
+        let mut streaming = options();
+        streaming.stream = true;
+        let mut raw = Vec::new();
+        run_serve_stream(&streaming, input, &mut raw).unwrap();
+        let streamed = lines(&String::from_utf8(raw).unwrap());
+        for results in [buffered, streamed] {
+            // Streaming answers in completion order: compare as a map.
+            let answers: std::collections::BTreeMap<String, Option<&str>> = results
+                .iter()
+                .map(|r| {
+                    let id = r.get("id").unwrap().to_compact();
+                    (id, r.get("status").and_then(Json::as_str))
+                })
+                .collect();
+            assert_eq!(results.len(), 3, "{results:?}");
+            assert_eq!(answers["\"a\""], Some("solved"));
+            assert_eq!(answers["2"], Some("bad-request"));
+            assert_eq!(answers["\"b\""], Some("solved"));
+        }
     }
 
     #[test]
@@ -516,7 +565,7 @@ mod tests {
     #[test]
     fn malformed_lines_become_bad_request_results() {
         let input = "{\"pos\": [\"0\"]}\nnot json\n{\"neg\": [\"1\"]}\n{\"pos\": \"0\"}\n";
-        let out = run_serve_on(&options(), input).unwrap();
+        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
         let results = lines(&out);
         assert_eq!(results.len(), 4);
         assert_eq!(
@@ -535,7 +584,7 @@ mod tests {
         // and the client's own id survives into the error line.
         let out = run_serve_on(
             &options(),
-            "{\"id\": \"r9\", \"pos\": [\"0\"], \"neg\": [\"0\"]}\n",
+            "{\"id\": \"r9\", \"pos\": [\"0\"], \"neg\": [\"0\"]}\n".as_bytes(),
         )
         .unwrap();
         let result = &lines(&out)[0];
@@ -549,7 +598,8 @@ mod tests {
             &options(),
             "{\"id\": \"t\", \"pos\": [\"0\"], \"timeout_ms\": -5}\n\
              {\"pos\": [\"0\"], \"timeout_ms\": 1e40}\n\
-             {\"pos\": [\"0\"], \"tenant\": 7}\n",
+             {\"pos\": [\"0\"], \"tenant\": 7}\n"
+                .as_bytes(),
         )
         .unwrap();
         for result in &lines(&out) {
@@ -571,7 +621,7 @@ mod tests {
             {\"verb\": \"refine\", \"session\": \"s1\", \"id\": \"b\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\", \"10\"]}\n\
             {\"verb\": \"refine\", \"session\": \"ghost\", \"id\": \"c\", \"pos\": [\"0\"]}\n\
             {\"op\": \"session.close\", \"name\": \"s1\"}\n";
-        let out = run_serve_on(&options, input).unwrap();
+        let out = run_serve_on(&options, input.as_bytes()).unwrap();
         let results = lines(&out);
         assert_eq!(results.len(), 6, "{out}");
         for line in &results {
@@ -607,7 +657,8 @@ mod tests {
 
     #[test]
     fn connection_scoped_verbs_are_refused_on_stdin() {
-        let out = run_serve_on(&options(), "{\"op\": \"shutdown\"}\n{\"op\": \"ping\"}\n").unwrap();
+        let input = "{\"op\": \"shutdown\"}\n{\"op\": \"ping\"}\n";
+        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
         let results = lines(&out);
         assert_eq!(
             results[0].get("status").and_then(Json::as_str),
@@ -620,7 +671,7 @@ mod tests {
     #[test]
     fn expired_deadline_is_reported_as_cancelled() {
         let input = "{\"pos\": [\"10\", \"101\"], \"neg\": [\"\", \"0\"], \"timeout_ms\": 0}\n";
-        let out = run_serve_on(&options(), input).unwrap();
+        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
         let results = lines(&out);
         assert_eq!(
             results[0].get("status").and_then(Json::as_str),
@@ -636,7 +687,7 @@ mod tests {
         options.pools = 2;
         options.backend = BackendChoice::ThreadParallel { threads: Some(2) };
         let input = "{\"pos\": [\"0\"], \"neg\": [\"1\"]}\n{\"pos\": [\"0\"], \"neg\": [\"1\"]}\n";
-        let out = run_serve_on(&options, input).unwrap();
+        let out = run_serve_on(&options, input.as_bytes()).unwrap();
         let results = lines(&out);
         assert_eq!(results.len(), 3);
         let metrics = &results[2];
@@ -664,12 +715,12 @@ mod tests {
         options.metrics = true;
         let input = "{\"id\": \"x\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"]}\n";
 
-        let first = run_serve_on(&options, input).unwrap();
+        let first = run_serve_on(&options, input.as_bytes()).unwrap();
         let first = lines(&first);
         assert_eq!(first[0].get("source").and_then(Json::as_str), Some("fresh"));
 
         // A second process over the same directory answers from disk.
-        let second = run_serve_on(&options, input).unwrap();
+        let second = run_serve_on(&options, input.as_bytes()).unwrap();
         let second = lines(&second);
         assert_eq!(
             second[0].get("source").and_then(Json::as_str),
@@ -853,7 +904,7 @@ mod tests {
     fn invalid_service_config_is_an_error() {
         let mut bad = options();
         bad.allowed_error = 2.0;
-        let err = run_serve_on(&bad, "").unwrap_err();
+        let err = run_serve_on(&bad, "".as_bytes()).unwrap_err();
         assert!(err.contains("allowed error"), "{err}");
     }
 }

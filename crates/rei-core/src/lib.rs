@@ -30,12 +30,9 @@
 //! serializable data, validated into [`SynthesisError::InvalidConfig`])
 //! creates a [`SynthSession`] that is reused across runs — it owns the
 //! backend, the warm device buffers and cumulative counters, and exposes
-//! [`run`](SynthSession::run), [`run_batch`](SynthSession::run_batch),
-//! [`run_with`](SynthSession::run_with) (per-cost-level [`Observer`]
-//! events) and [`run_fused`](SynthSession::run_fused) (several
-//! specifications advanced in lock step as one fused level sweep, with
-//! per-member [`FusedRequest`] cancellation). Long runs stop
-//! cooperatively through a [`CancelToken`].
+//! [`run`](SynthSession::run), [`run_batch`](SynthSession::run_batch)
+//! and [`run_with`](SynthSession::run_with) (per-cost-level [`Observer`]
+//! events). Long runs stop cooperatively through a [`CancelToken`].
 //! [`Synthesizer`] remains as a one-shot convenience wrapper.
 //!
 //! Interactive workloads refine a session instead of re-running it:
@@ -94,5 +91,5 @@ pub use config::SynthConfig;
 pub use observe::{CancelToken, LevelLog, NoopObserver, Observer};
 pub use refine::{ColdReason, RefineState, ReuseDecision, RunOutcome};
 pub use result::{LevelStats, SynthesisError, SynthesisResult, SynthesisStats};
-pub use session::{FusedRequest, SessionStats, SynthSession};
+pub use session::{SessionStats, SynthSession};
 pub use synth::Synthesizer;

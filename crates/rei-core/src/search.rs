@@ -996,99 +996,10 @@ pub(crate) fn run_retaining(
     (Err(SynthesisError::NotFound { max_cost, stats }), retained)
 }
 
-/// One member of a fused multi-request sweep: its own problem and its own
-/// stop condition, sharing the caller's backend with its batch-mates.
-pub(crate) struct FusedMember<'a> {
-    pub params: SearchParams<'a>,
-    pub stop: StopCheck,
-}
-
-/// Runs several searches as **one fused level sweep**: the members advance
-/// in lock step, one cost level at a time, so a pool worker amortises its
-/// scheduling loop, stop polling and per-level bookkeeping over every
-/// queued request it drained. Each member keeps its own closure, guide
-/// masks, cache and uniqueness set (the specs differ, so rows live in per-
-/// member buffers — the winner *slot* is per member, not per batch), and
-/// its own [`StopCheck`] is polled at the usual chunk boundaries inside
-/// its levels, so cancelling or timing out one member retires only that
-/// slot; its batch-mates keep sweeping. A member whose winner lands at an
-/// early level completes immediately (partial completion) while the rest
-/// continue to their own outcomes. Results are returned in member order.
-///
-/// `observers` carries one [`Observer`] per member (same order); each
-/// member's observer sees that member's per-level events only.
-pub(crate) fn run_fused<'a>(
-    members: Vec<FusedMember<'a>>,
-    observers: Vec<&'a mut dyn Observer>,
-    backend: &dyn Backend,
-) -> Vec<Result<SynthesisResult, SynthesisError>> {
-    enum Slot<'a> {
-        Active(Box<Search<'a>>),
-        Done(Result<SynthesisResult, SynthesisError>),
-    }
-
-    debug_assert_eq!(members.len(), observers.len());
-    let mut scratches: Vec<SessionScratch> =
-        members.iter().map(|_| SessionScratch::default()).collect();
-    let mut first_cost = u64::MAX;
-    let mut slots: Vec<Slot> = Vec::with_capacity(members.len());
-    for ((member, observer), scratch) in
-        members.into_iter().zip(observers).zip(scratches.iter_mut())
-    {
-        first_cost = first_cost.min(member.params.costs.literal + 1);
-        let mut search = Search::new(member.params, backend, observer, member.stop, scratch, None);
-        slots.push(match search.seed_alphabet() {
-            Some(found) => Slot::Done(Ok(search.finish(found))),
-            None => Slot::Active(Box::new(search)),
-        });
-    }
-
-    let mut cost = first_cost;
-    while slots.iter().any(|slot| matches!(slot, Slot::Active(_))) {
-        for slot in &mut slots {
-            let Slot::Active(search) = slot else { continue };
-            let done = if cost > search.params.max_cost {
-                Some(Err(SynthesisError::NotFound {
-                    max_cost: search.params.max_cost,
-                    stats: search.final_stats(),
-                }))
-            } else if cost <= search.params.costs.literal {
-                // This member's first composite level is still ahead
-                // (mixed cost functions); it idles until the sweep
-                // reaches it.
-                None
-            } else {
-                match search.step_level(cost, backend) {
-                    LevelOutcome::Found(prov) => Some(Ok(search.finish(prov))),
-                    LevelOutcome::Continue => None,
-                    LevelOutcome::Exhausted => Some(Err(SynthesisError::OutOfMemory {
-                        last_complete_cost: search.last_full_cost,
-                        stats: search.final_stats(),
-                    })),
-                    LevelOutcome::Stopped(stop) => Some(Err(search.stopped(stop))),
-                }
-            };
-            if let Some(result) = done {
-                *slot = Slot::Done(result);
-            }
-        }
-        cost += 1;
-    }
-
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Done(result) => result,
-            Slot::Active(_) => unreachable!("active member after fused sweep"),
-        })
-        .collect()
-}
-
 impl<'a> Search<'a> {
     /// Stages everything one sweep needs for one specification: infix
     /// closure, guide masks, satisfaction masks, admission prefilter,
-    /// language cache and uniqueness set. Shared by the single-spec
-    /// [`run`] and the fused [`run_fused`] drivers.
+    /// language cache and uniqueness set for [`run_retaining`].
     fn new(
         params: SearchParams<'a>,
         backend: &dyn Backend,

@@ -57,33 +57,6 @@ pub struct SessionStats {
     pub elapsed: Duration,
 }
 
-/// One member of a fused sweep (see [`SynthSession::run_fused`]): a
-/// specification plus an optional per-member cancellation token.
-///
-/// Deadlines are the caller's concern: arm a watchdog that trips the
-/// member's token and the member retires at the next chunk boundary with
-/// [`SynthesisError::Cancelled`] — without touching its batch-mates.
-#[derive(Debug, Clone)]
-pub struct FusedRequest<'s> {
-    spec: &'s Spec,
-    cancel: Option<CancelToken>,
-}
-
-impl<'s> FusedRequest<'s> {
-    /// A fused member over `spec`, governed by the session-wide token.
-    pub fn new(spec: &'s Spec) -> Self {
-        FusedRequest { spec, cancel: None }
-    }
-
-    /// Attaches a per-member cancellation token. During the sweep this
-    /// token *replaces* the session-wide one for this member (the session
-    /// token is still checked once when the fused call starts).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-}
-
 /// A reusable synthesis session: one configuration, one backend, many
 /// specifications.
 ///
@@ -244,178 +217,6 @@ impl SynthSession {
             .iter()
             .map(|spec| self.run_with(spec, observer))
             .collect()
-    }
-
-    /// Runs several specifications as **one fused level sweep** — the
-    /// cross-request batch-fusion path of the service layer. The members
-    /// advance in lock step through the shared backend, so staging, stop
-    /// polling and per-level scheduling are amortised across them and the
-    /// whole batch accounts as a *single* session run (`stats().runs`
-    /// grows by one; `solved`/`failed` by one per member). Results come
-    /// back in member order.
-    ///
-    /// A member carrying its own [`CancelToken`] can be retired mid-sweep
-    /// without poisoning its batch-mates, and a member whose winner lands
-    /// at an early cost level completes immediately while the rest keep
-    /// sweeping. The configured time budget bounds the sweep as a whole
-    /// (every member polls the same deadline) and the memory budget is
-    /// divided evenly across the members that actually join the sweep.
-    pub fn run_fused(
-        &mut self,
-        requests: &[FusedRequest<'_>],
-    ) -> Vec<Result<SynthesisResult, SynthesisError>> {
-        let mut noops: Vec<NoopObserver> = requests.iter().map(|_| NoopObserver).collect();
-        let mut observers: Vec<&mut dyn Observer> = noops
-            .iter_mut()
-            .map(|observer| observer as &mut dyn Observer)
-            .collect();
-        self.run_fused_with(requests, &mut observers)
-    }
-
-    /// Like [`run_fused`](SynthSession::run_fused), delivering progress
-    /// events to one [`Observer`] per member (same order as `requests`;
-    /// the lengths must match). Each member's observer sees only that
-    /// member's `on_start` / per-level / `on_finish` events, so a pool
-    /// worker can attach per-request trace collectors to a fused batch.
-    pub fn run_fused_with(
-        &mut self,
-        requests: &[FusedRequest<'_>],
-        observers: &mut [&mut dyn Observer],
-    ) -> Vec<Result<SynthesisResult, SynthesisError>> {
-        assert_eq!(
-            requests.len(),
-            observers.len(),
-            "one observer per fused member"
-        );
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        for (request, observer) in requests.iter().zip(observers.iter_mut()) {
-            observer.on_start(request.spec);
-        }
-        let started = Instant::now();
-        self.stats.runs += 1;
-        self.backend.begin_run();
-        let costs = *self.config.costs();
-
-        // Resolve trivially-answerable members (and members whose token
-        // tripped while they were queued) before staging anything; only
-        // the rest join the sweep.
-        let mut outcomes: Vec<Option<Result<SynthesisResult, SynthesisError>>> =
-            requests.iter().map(|_| None).collect();
-        let mut live: Vec<usize> = Vec::with_capacity(requests.len());
-        for (index, request) in requests.iter().enumerate() {
-            let cancelled = self.cancel.is_cancelled()
-                || request
-                    .cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-            if cancelled {
-                outcomes[index] = Some(Err(SynthesisError::Cancelled {
-                    stats: SynthesisStats::default(),
-                }));
-                continue;
-            }
-            let allowed = self.config.allowed_example_errors(request.spec);
-            let mut resolved = None;
-            for (checked, trivial) in [Regex::Empty, Regex::Epsilon].into_iter().enumerate() {
-                let candidates_checked = checked as u64 + 1;
-                if request.spec.misclassified_by(&trivial) <= allowed {
-                    resolved = Some(SynthesisResult {
-                        cost: trivial.cost(&costs),
-                        regex: trivial,
-                        stats: SynthesisStats {
-                            candidates_generated: candidates_checked,
-                            unique_languages: candidates_checked,
-                            elapsed: started.elapsed(),
-                            ..SynthesisStats::default()
-                        },
-                    });
-                    break;
-                }
-            }
-            match resolved {
-                Some(result) => outcomes[index] = Some(Ok(result)),
-                None => live.push(index),
-            }
-        }
-
-        if !live.is_empty() {
-            // Fair split of the cache budget across the sweeping members
-            // (at least one byte each keeps the cache constructible).
-            let member_budget = (self.config.memory_budget() / live.len()).max(1);
-            let deadline = self.config.time_budget().map(|budget| started + budget);
-            let budget = self.config.time_budget().unwrap_or_default();
-            let members: Vec<search::FusedMember<'_>> = live
-                .iter()
-                .map(|&index| {
-                    let request = &requests[index];
-                    let spec = request.spec;
-                    search::FusedMember {
-                        params: SearchParams {
-                            spec,
-                            alphabet: self
-                                .config
-                                .alphabet()
-                                .cloned()
-                                .unwrap_or_else(|| Alphabet::of_spec(spec)),
-                            costs,
-                            memory_budget: member_budget,
-                            allowed_errors: self.config.allowed_example_errors(spec),
-                            max_cost: self
-                                .config
-                                .max_cost()
-                                .unwrap_or_else(|| spec.overfit_regex().cost(&costs)),
-                            started,
-                            sched_chunk: self.config.sched_chunk(),
-                            level_chunk_rows: self.config.level_chunk_rows(),
-                        },
-                        stop: StopCheck {
-                            deadline,
-                            budget,
-                            cancel: Some(
-                                request
-                                    .cancel
-                                    .clone()
-                                    .unwrap_or_else(|| self.cancel.clone()),
-                            ),
-                        },
-                    }
-                })
-                .collect();
-            let live_observers: Vec<&mut dyn Observer> = observers
-                .iter_mut()
-                .enumerate()
-                .filter(|(index, _)| live.contains(index))
-                .map(|(_, observer)| &mut **observer as &mut dyn Observer)
-                .collect();
-            let results = search::run_fused(members, live_observers, &*self.backend);
-            for (&index, mut outcome) in live.iter().zip(results) {
-                // Credit the two trivial candidates this member was
-                // checked against before the sweep.
-                match &mut outcome {
-                    Ok(result) => result.stats.candidates_generated += 2,
-                    Err(err) => {
-                        if let Some(stats) = err.stats_mut() {
-                            stats.candidates_generated += 2;
-                        }
-                    }
-                }
-                outcomes[index] = Some(outcome);
-            }
-        }
-
-        let outcomes: Vec<_> = outcomes
-            .into_iter()
-            .map(|outcome| outcome.expect("every fused member resolved"))
-            .collect();
-        for outcome in &outcomes {
-            self.absorb_outcome(outcome);
-        }
-        for (outcome, observer) in outcomes.iter().zip(observers.iter_mut()) {
-            observer.on_finish(outcome.as_ref());
-        }
-        outcomes
     }
 
     /// Refines the session's own specification chain: like
@@ -704,15 +505,9 @@ impl SynthSession {
         )
     }
 
+    /// Folds one run's outcome into the session totals.
     fn note_outcome(&mut self, outcome: &Result<SynthesisResult, SynthesisError>) {
         self.stats.runs += 1;
-        self.absorb_outcome(outcome);
-    }
-
-    /// Folds one outcome's counters into the session totals — `solved`/
-    /// `failed` and the work counters, but not `runs`: a fused sweep is
-    /// one run with many member outcomes.
-    fn absorb_outcome(&mut self, outcome: &Result<SynthesisResult, SynthesisError>) {
         let run_stats = match outcome {
             Ok(result) => {
                 self.stats.solved += 1;
@@ -822,90 +617,6 @@ mod tests {
         assert!(stats.kernel_launches > 0);
         assert!(stats.items_executed >= stats.kernel_launches);
         assert!(stats.hash_insertions > 0);
-    }
-
-    #[test]
-    fn fused_run_accounts_one_run_with_per_member_outcomes() {
-        let mut session = SynthSession::new(SynthConfig::default()).unwrap();
-        let easy = Spec::from_strs(["0", "00"], ["1", "10"]).unwrap();
-        let intro = intro_spec();
-        let trivial = Spec::from_strs([""], ["0"]).unwrap();
-        let tripped = CancelToken::new();
-        tripped.cancel();
-
-        let requests = [
-            FusedRequest::new(&easy),
-            FusedRequest::new(&intro),
-            FusedRequest::new(&trivial),
-            FusedRequest::new(&easy).with_cancel(tripped),
-        ];
-        let outcomes = session.run_fused(&requests);
-        assert_eq!(outcomes.len(), 4);
-
-        // Per-member answers are exactly the single-run answers.
-        let first = outcomes[0].as_ref().unwrap();
-        assert!(easy.is_satisfied_by(&first.regex));
-        let second = outcomes[1].as_ref().unwrap();
-        assert_eq!(second.cost, 8);
-        assert!(intro.is_satisfied_by(&second.regex));
-        let third = outcomes[2].as_ref().unwrap();
-        assert_eq!(third.regex, Regex::Epsilon);
-        // The member whose token tripped before the sweep is retired as
-        // cancelled without poisoning its batch-mates.
-        assert!(
-            matches!(outcomes[3], Err(SynthesisError::Cancelled { .. })),
-            "{:?}",
-            outcomes[3]
-        );
-
-        // One fused sweep is one session run, with member-level outcome
-        // counters.
-        assert_eq!(session.stats().runs, 1);
-        assert_eq!(session.stats().solved, 3);
-        assert_eq!(session.stats().failed, 1);
-    }
-
-    #[test]
-    fn fused_observers_see_their_own_member_only() {
-        #[derive(Default)]
-        struct Recorder {
-            started: usize,
-            levels: usize,
-            finished: usize,
-        }
-        impl Observer for Recorder {
-            fn on_start(&mut self, _spec: &Spec) {
-                self.started += 1;
-            }
-            fn on_level(&mut self, _stats: &crate::LevelStats) {
-                self.levels += 1;
-            }
-            fn on_finish(&mut self, _outcome: Result<&SynthesisResult, &SynthesisError>) {
-                self.finished += 1;
-            }
-        }
-
-        let mut session = SynthSession::new(SynthConfig::default()).unwrap();
-        let intro = intro_spec();
-        let trivial = Spec::from_strs([""], ["0"]).unwrap();
-        let requests = [FusedRequest::new(&intro), FusedRequest::new(&trivial)];
-        let mut recorders = [Recorder::default(), Recorder::default()];
-        {
-            let mut observers: Vec<&mut dyn Observer> = recorders
-                .iter_mut()
-                .map(|recorder| recorder as &mut dyn Observer)
-                .collect();
-            let outcomes = session.run_fused_with(&requests, &mut observers);
-            assert!(outcomes.iter().all(Result::is_ok));
-        }
-        // Every member saw exactly one start and one finish; only the
-        // member that actually swept levels produced level events.
-        for recorder in &recorders {
-            assert_eq!(recorder.started, 1);
-            assert_eq!(recorder.finished, 1);
-        }
-        assert!(recorders[0].levels > 0, "sweeping member saw no levels");
-        assert_eq!(recorders[1].levels, 0, "trivial member swept levels");
     }
 
     #[test]

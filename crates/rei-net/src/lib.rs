@@ -69,5 +69,5 @@ pub mod protocol;
 mod server;
 mod signal;
 
-pub use server::{generate_session_name, session_verb_line, NetConfig, NetServer};
+pub use server::{session_verb_line, NetConfig, NetServer};
 pub use signal::{install_shutdown_signals, shutdown_tripped};

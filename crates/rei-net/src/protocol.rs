@@ -21,7 +21,8 @@
 //! `regex`, `cost`, `candidates`), a failure kind (`timeout` / `oom` /
 //! `not-found` / `cancelled`), `bad-request` (with `error`), or
 //! `rejected` (with `reason`, e.g. `rate_limited`) when admission
-//! refused the request.
+//! refused the request. A line that is not UTF-8 is answered with a
+//! `bad-request` carrying its line number, and reading goes on.
 //!
 //! A line carrying an `"op"` key is a *control verb* instead of a
 //! request — see [`Verb`]. Verbs answer on the same connection:
@@ -45,6 +46,8 @@
 //!
 //! Every response line is stamped with `"proto":` [`PROTO_VERSION`].
 
+use std::io::BufRead;
+use std::str::Utf8Error;
 use std::time::Duration;
 
 use rei_core::SynthesisError;
@@ -264,6 +267,37 @@ fn optional_str(value: &Json, key: &str) -> Result<Option<String>, String> {
             .map(|s| Some(s.to_string()))
             .ok_or_else(|| format!("'{key}' must be a string")),
     }
+}
+
+/// Reads the next input line into `buf` as bytes and checks that it is
+/// UTF-8. `buf` is cleared first, so one buffer serves every line; the
+/// `\n` or `\r\n` ending is stripped. `Ok(None)` at end of input. A line
+/// that is not UTF-8 comes back as `Some(Err(_))`; the caller answers it
+/// with [`not_utf8_line`] and reads on.
+///
+/// # Errors
+///
+/// The underlying read error.
+pub fn read_line<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, Utf8Error>>> {
+    buf.clear();
+    if input.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    let line = buf.strip_suffix(b"\n").unwrap_or(buf);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    Ok(Some(std::str::from_utf8(line)))
+}
+
+/// The `bad-request` answer to input line `line_number` when it is not
+/// UTF-8 (see [`read_line`]).
+pub fn not_utf8_line(line_number: usize) -> Json {
+    bad_request_line(
+        Json::uint(line_number as u64),
+        "request line is not valid UTF-8",
+    )
 }
 
 /// Interprets one input line: a control verb when the line carries an

@@ -2,8 +2,9 @@
 //! serve loop.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read as _, Write};
+use std::io::{BufReader, Read as _, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -17,8 +18,8 @@ use rei_service::{
 };
 
 use crate::protocol::{
-    bad_request_line, hello_line, parse_line, rejected_line, response_line, stamped, trace_line,
-    verb_err_line, verb_ok_line, AnswerMode, Input, Verb,
+    bad_request_line, hello_line, not_utf8_line, parse_line, read_line, rejected_line,
+    response_line, stamped, trace_line, verb_err_line, verb_ok_line, AnswerMode, Input, Verb,
 };
 use crate::signal::shutdown_tripped;
 
@@ -347,7 +348,7 @@ type Pending = VecDeque<(Json, JobHandle, InflightGuard)>;
 /// Generates a server-side session name for a `session.open` without
 /// one. Distinct from the pools' own `s-N` scheme so the two generators
 /// can never collide.
-pub fn generate_session_name() -> String {
+fn generate_session_name() -> String {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     format!("net-{}", NEXT.fetch_add(1, Ordering::Relaxed))
 }
@@ -443,9 +444,16 @@ fn handle_connection(
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let (sender, lines) = std::sync::mpsc::channel::<std::io::Result<String>>();
+    let (sender, lines) = std::sync::mpsc::channel::<std::io::Result<Result<String, Utf8Error>>>();
     let reader = std::thread::spawn(move || {
-        for line in BufReader::new(read_half).lines() {
+        let mut input = BufReader::new(read_half);
+        let mut buf = Vec::new();
+        loop {
+            let line = match read_line(&mut input, &mut buf) {
+                Ok(None) => return,
+                Ok(Some(line)) => Ok(line.map(str::to_owned)),
+                Err(err) => Err(err),
+            };
             let failed = line.is_err();
             if sender.send(line).is_err() || failed {
                 return;
@@ -470,6 +478,10 @@ fn handle_connection(
             match lines.recv_timeout(ANSWER_TICK) {
                 Ok(Ok(line)) => {
                     number += 1;
+                    let Ok(line) = line else {
+                        emit(&mut out, &not_utf8_line(number))?;
+                        continue;
+                    };
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -598,6 +610,36 @@ mod tests {
         let snapshot = serving.join().unwrap();
         assert_eq!(snapshot.admission.admitted, 2);
         assert_eq!(snapshot.rollup().solved, 2);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_bad_request_and_the_connection_reads_on() {
+        let (addr, serving) = start_server(NetConfig::new("127.0.0.1:0"));
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        client
+            .write_all(request_line("a", "00", "t1").as_bytes())
+            .unwrap();
+        client.write_all(b"\xff\xfe\n").unwrap();
+        client
+            .write_all(request_line("b", "11", "t2").as_bytes())
+            .unwrap();
+        // The bad-request is answered as soon as its line is read, so it
+        // may overtake the ordered answers: compare as a map.
+        let mut answers = std::collections::HashMap::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let answer = Json::parse(line.trim()).unwrap();
+            let status = answer.get("status").and_then(Json::as_str).unwrap();
+            answers.insert(answer.get("id").unwrap().to_compact(), status.to_string());
+        }
+        assert_eq!(answers["\"a\""], "solved");
+        assert_eq!(answers["2"], "bad-request");
+        assert_eq!(answers["\"b\""], "solved");
+        client.write_all(b"{\"op\": \"shutdown\"}\n").unwrap();
+        let snapshot = serving.join().unwrap();
+        assert_eq!(snapshot.admission.admitted, 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   error bounded by 1/16 (one sub-bucket).
 //! * [`TraceRegistry`] / [`Trace`] — per-request trace timelines: a
 //!   trace id handed out at admission plus a bounded ring buffer of
-//!   phase events (`admitted → routed → enqueued → fused → level →
+//!   phase events (`admitted → routed → enqueued → level →
 //!   cache-append → answered`). Requests that blow through a configured
 //!   SLO are dumped to the structured log on completion.
 //! * [`PromText`] — a tiny Prometheus-text-format builder (counters,

@@ -8,7 +8,7 @@
 //! appends a phase event — the vocabulary is
 //!
 //! ```text
-//! admitted → routed(pool) → enqueued → fused(batch) →
+//! admitted → routed(pool) → enqueued →
 //!     level(cost, wall, candidates)* → cache-append → answered
 //! ```
 //!

@@ -139,6 +139,5 @@ pub use request::{JobHandle, ResponseSource, SynthRequest, SynthResponse};
 pub use ring::{HashRing, VNODES};
 pub use router::{PoolConfig, RouterConfig, RouterSnapshot, ShardRouter};
 pub use service::{
-    ServiceConfig, ServiceError, SynthService, DEFAULT_FUSE_LIMIT, DEFAULT_SESSION_CAPACITY,
-    DEFAULT_SESSION_IDLE,
+    ServiceConfig, ServiceError, SynthService, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_IDLE,
 };

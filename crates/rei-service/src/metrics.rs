@@ -31,8 +31,6 @@ pub(crate) struct Metrics {
     pub failed: AtomicU64,
     pub deadline_expired: AtomicU64,
     pub cancelled: AtomicU64,
-    pub fused_batches: AtomicU64,
-    pub fused_requests: AtomicU64,
     pub sessions_opened: AtomicU64,
     pub sessions_closed: AtomicU64,
     pub sessions_evicted: AtomicU64,
@@ -134,8 +132,6 @@ impl Metrics {
             failed: load(&self.failed),
             deadline_expired: load(&self.deadline_expired),
             cancelled: load(&self.cancelled),
-            fused_batches: load(&self.fused_batches),
-            fused_requests: load(&self.fused_requests),
             sessions_opened: load(&self.sessions_opened),
             sessions_closed: load(&self.sessions_closed),
             sessions_evicted: load(&self.sessions_evicted),
@@ -226,13 +222,6 @@ pub struct MetricsSnapshot {
     pub deadline_expired: u64,
     /// Failed jobs that ended with `Cancelled` (deadline or token).
     pub cancelled: u64,
-    /// Fused level sweeps a worker ran after draining several queued
-    /// jobs of its (single) pool configuration into one batch.
-    pub fused_batches: u64,
-    /// Jobs answered by those fused sweeps. Under load this exceeds
-    /// [`fused_batches`](MetricsSnapshot::fused_batches): N jobs complete
-    /// in fewer than N level sweeps.
-    pub fused_requests: u64,
     /// Refinement sessions opened (`session.open`, including re-opens).
     pub sessions_opened: u64,
     /// Sessions closed explicitly (`session.close`).
@@ -346,8 +335,6 @@ impl MetricsSnapshot {
         self.failed += other.failed;
         self.deadline_expired += other.deadline_expired;
         self.cancelled += other.cancelled;
-        self.fused_batches += other.fused_batches;
-        self.fused_requests += other.fused_requests;
         self.sessions_opened += other.sessions_opened;
         self.sessions_closed += other.sessions_closed;
         self.sessions_evicted += other.sessions_evicted;
@@ -411,8 +398,6 @@ impl MetricsSnapshot {
                     ("failed", Json::uint(self.failed)),
                     ("cancelled", Json::uint(self.cancelled)),
                     ("deadline_expired", Json::uint(self.deadline_expired)),
-                    ("fused_batches", Json::uint(self.fused_batches)),
-                    ("fused_requests", Json::uint(self.fused_requests)),
                 ]),
             ),
             (
@@ -575,8 +560,8 @@ mod tests {
         Metrics::bump(&metrics.submitted);
         Metrics::bump(&metrics.submitted);
         Metrics::bump(&metrics.cache_hits);
-        Metrics::bump(&metrics.fused_batches);
-        metrics.fused_requests.fetch_add(3, Ordering::Relaxed);
+        Metrics::bump(&metrics.cancelled);
+        metrics.enqueued.fetch_add(3, Ordering::Relaxed);
         metrics.set_worker_stats(
             1,
             SessionStats {
@@ -613,20 +598,20 @@ mod tests {
         );
         assert_eq!(
             json.get("jobs")
-                .and_then(|j| j.get("fused_batches"))
+                .and_then(|j| j.get("cancelled"))
                 .and_then(Json::as_u64),
             Some(1)
         );
         assert_eq!(
             json.get("jobs")
-                .and_then(|j| j.get("fused_requests"))
+                .and_then(|j| j.get("enqueued"))
                 .and_then(Json::as_u64),
             Some(3)
         );
         let mut rollup = snapshot.clone();
         rollup.absorb(&snapshot);
-        assert_eq!(rollup.fused_batches, 2);
-        assert_eq!(rollup.fused_requests, 6);
+        assert_eq!(rollup.cancelled, 2);
+        assert_eq!(rollup.enqueued, 6);
         let workers = json.get("workers").and_then(Json::as_array).unwrap();
         assert_eq!(workers.len(), 2);
         assert_eq!(workers[1].get("runs").and_then(Json::as_u64), Some(3));

@@ -141,18 +141,6 @@ impl<T> JobQueue<T> {
         }
     }
 
-    /// Dequeues the highest-priority item if one is queued right now,
-    /// without ever blocking. `None` when the queue is momentarily empty
-    /// (closed or not) — the batch-fusion drain uses this to pick up
-    /// whatever accumulated behind the job it is already holding.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        let entry = state.heap.pop()?;
-        drop(state);
-        self.not_full.notify_one();
-        Some(entry.item)
-    }
-
     /// Number of currently queued (not yet dequeued) items.
     pub fn len(&self) -> usize {
         self.lock().heap.len()
@@ -210,19 +198,6 @@ mod tests {
         assert_eq!(queue.pop(), Some(2));
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn try_pop_never_blocks() {
-        let queue = JobQueue::new(4);
-        assert_eq!(queue.try_pop(), None::<&str>);
-        queue.push(0, "low").unwrap();
-        queue.push(5, "high").unwrap();
-        assert_eq!(queue.try_pop(), Some("high"));
-        assert_eq!(queue.try_pop(), Some("low"));
-        assert_eq!(queue.try_pop(), None);
-        queue.close();
-        assert_eq!(queue.try_pop(), None);
     }
 
     #[test]

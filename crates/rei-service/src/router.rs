@@ -526,7 +526,7 @@ impl RouterSnapshot {
         let mut text = PromText::new();
 
         type CounterRow = (&'static str, &'static str, fn(&MetricsSnapshot) -> u64);
-        let counters: [CounterRow; 11] = [
+        let counters: [CounterRow; 9] = [
             ("rei_requests_submitted_total", "Requests submitted.", |s| {
                 s.submitted
             }),
@@ -550,16 +550,6 @@ impl RouterSnapshot {
                 "rei_coalesced_total",
                 "Requests coalesced onto an in-flight job.",
                 |s| s.coalesced,
-            ),
-            (
-                "rei_fused_batches_total",
-                "Fused level-sweep batches executed.",
-                |s| s.fused_batches,
-            ),
-            (
-                "rei_fused_requests_total",
-                "Requests served through fused batches.",
-                |s| s.fused_requests,
             ),
             (
                 "rei_cache_append_errors_total",

@@ -13,8 +13,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rei_core::{
-    CancelToken, FusedRequest, LevelStats, Observer, ReuseDecision, SynthConfig, SynthSession,
-    SynthesisError, SynthesisStats,
+    CancelToken, LevelStats, Observer, ReuseDecision, SynthConfig, SynthSession, SynthesisError,
+    SynthesisStats,
 };
 use rei_obs::Trace;
 
@@ -49,11 +49,6 @@ pub struct ServiceConfig {
     /// checkpoint cadence, disk byte cap, recovery threads); ignored
     /// without [`cache_path`](ServiceConfig::cache_path).
     pub wal: WalOptions,
-    /// Most queued jobs a worker may drain into one fused level sweep
-    /// (see [`SynthSession::run_fused`]); every job of a pool shares its
-    /// single [`SynthConfig`], so any drained jobs are fusion-eligible.
-    /// `1` disables fusion (each pop runs alone).
-    pub fuse_limit: usize,
     /// Most refinement sessions held open at once; opening one beyond
     /// the bound evicts the least recently used
     /// ([`ServiceError::UnknownSession`] on its next refine).
@@ -63,11 +58,6 @@ pub struct ServiceConfig {
     /// session-table access.
     pub session_idle: Duration,
 }
-
-/// Default [`ServiceConfig::fuse_limit`]: deep enough to amortise the
-/// sweep under bursts, shallow enough that one slow batch-mate cannot
-/// delay many others past their deadlines.
-pub const DEFAULT_FUSE_LIMIT: usize = 4;
 
 /// Default [`ServiceConfig::session_capacity`].
 pub const DEFAULT_SESSION_CAPACITY: usize = 64;
@@ -86,7 +76,6 @@ impl ServiceConfig {
             synth: SynthConfig::default(),
             cache_path: None,
             wal: WalOptions::default(),
-            fuse_limit: DEFAULT_FUSE_LIMIT,
             session_capacity: DEFAULT_SESSION_CAPACITY,
             session_idle: DEFAULT_SESSION_IDLE,
         }
@@ -132,12 +121,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Replaces the fused-batch drain limit (`1` disables fusion).
-    pub fn with_fuse_limit(mut self, limit: usize) -> Self {
-        self.fuse_limit = limit;
-        self
-    }
-
     /// Replaces the open-session bound (LRU eviction beyond it).
     pub fn with_session_capacity(mut self, capacity: usize) -> Self {
         self.session_capacity = capacity;
@@ -164,11 +147,6 @@ impl ServiceConfig {
         if self.cache_capacity == 0 {
             return Err(ServiceError::InvalidConfig(
                 "cache capacity must be positive".into(),
-            ));
-        }
-        if self.fuse_limit == 0 {
-            return Err(ServiceError::InvalidConfig(
-                "fuse limit must be positive".into(),
             ));
         }
         if self.session_capacity == 0 {
@@ -244,7 +222,7 @@ enum JobKind {
     /// Refine an open session: run through the session's retained
     /// [`RefineState`](rei_core::RefineState), bypassing the result cache
     /// (a refinement's answer belongs to the session's history, not to
-    /// the bare specification) and never fusing with other jobs.
+    /// the bare specification).
     Refine { session: Arc<SessionEntry> },
 }
 
@@ -398,8 +376,6 @@ struct Shared {
     metrics: Metrics,
     watchdog: Watchdog,
     synth: SynthConfig,
-    /// See [`ServiceConfig::fuse_limit`].
-    fuse_limit: usize,
     sessions: SessionTable,
 }
 
@@ -501,7 +477,6 @@ impl SynthService {
             metrics,
             watchdog: Watchdog::default(),
             synth: config.synth.clone(),
-            fuse_limit: config.fuse_limit.max(1),
             sessions: SessionTable::new(config.session_capacity, config.session_idle),
         });
         let watchdog = {
@@ -820,40 +795,9 @@ fn worker_loop(shared: &Shared, index: usize) {
         SynthSession::new(shared.synth.clone()).expect("service config was validated at start");
     let token = session.cancel_token();
     while let Some(job) = shared.queue.pop() {
-        let mut carried = Some(job);
-        while let Some(job) = carried.take() {
-            if matches!(job.kind, JobKind::Refine { .. }) {
-                // Refinements run alone: their outcome depends on the
-                // session's retained state, so they cannot share a fused
-                // sweep with stateless batch-mates.
-                run_refine(shared, index, &mut session, &token, job);
-                continue;
-            }
-            // Batch fusion: whatever accumulated behind this job is
-            // drained (up to the fuse limit) and run as one fused level
-            // sweep. Every job of the pool runs the same `SynthConfig`,
-            // so any fresh job the drain picks up is fusion-eligible by
-            // construction; a drained refine job is carried over and runs
-            // alone right after the batch.
-            let mut batch = vec![job];
-            while batch.len() < shared.fuse_limit && carried.is_none() {
-                match shared.queue.try_pop() {
-                    Some(extra) if matches!(extra.kind, JobKind::Fresh { .. }) => batch.push(extra),
-                    Some(extra) => carried = Some(extra),
-                    None => break,
-                }
-            }
-            if batch.len() == 1 {
-                run_single(
-                    shared,
-                    index,
-                    &mut session,
-                    &token,
-                    batch.pop().expect("one job"),
-                );
-            } else {
-                run_fused_batch(shared, index, &mut session, batch);
-            }
+        match job.kind {
+            JobKind::Refine { .. } => run_refine(shared, index, &mut session, &token, job),
+            JobKind::Fresh { .. } => run_single(shared, index, &mut session, &token, job),
         }
     }
 }
@@ -985,116 +929,6 @@ fn run_single(
         ran,
         reuse: None,
     });
-}
-
-/// One drained member of a fused batch: its job, the member-private
-/// cancel token the sweep polls at chunk boundaries, and the watchdog
-/// entry mapping the job's deadline onto that token.
-struct FusedJob {
-    job: Job,
-    token: CancelToken,
-    entry: Option<Arc<DeadlineEntry>>,
-}
-
-/// The fusion path: the drained jobs advance through one fused level
-/// sweep. Per-member deadlines stay honored — each member gets its own
-/// watchdog-armed token, so an expiring member retires at the next chunk
-/// boundary without poisoning its batch-mates — and a member whose
-/// winner lands early completes inside the sweep while the rest run on.
-fn run_fused_batch(shared: &Shared, index: usize, session: &mut SynthSession, batch: Vec<Job>) {
-    // Jobs whose deadline already expired while queued fail fast, exactly
-    // like on the single path: they must not hold a sweep slot.
-    let mut members: Vec<FusedJob> = Vec::with_capacity(batch.len());
-    for job in batch {
-        shared.metrics.note_wait(job.submitted.elapsed());
-        if job.state.deadline().is_some_and(|d| Instant::now() >= d) {
-            let outcome = Err(SynthesisError::Cancelled {
-                stats: SynthesisStats::default(),
-            });
-            if let Some(key) = job.cache_key() {
-                shared.cache.forget(key, &job.state);
-            }
-            shared.metrics.note_job(&outcome, true);
-            shared.metrics.note_e2e(job.submitted.elapsed());
-            job.state.complete(Completion {
-                outcome,
-                finished: Instant::now(),
-                ran: Duration::ZERO,
-                reuse: None,
-            });
-            continue;
-        }
-        let token = CancelToken::new();
-        // Re-sample: a coalescer may have relaxed the deadline since the
-        // expiry check above.
-        let entry = job
-            .state
-            .deadline()
-            .map(|deadline| shared.watchdog.arm(deadline, token.clone()));
-        members.push(FusedJob { job, token, entry });
-    }
-    if members.is_empty() {
-        return;
-    }
-
-    Metrics::bump(&shared.metrics.fused_batches);
-    shared
-        .metrics
-        .fused_requests
-        .fetch_add(members.len() as u64, Ordering::Relaxed);
-
-    let batch_size = members.len();
-    for member in &members {
-        if let Some(trace) = member.job.trace.as_ref() {
-            trace.record("fused", format!("batch={batch_size}"));
-        }
-    }
-
-    let started = Instant::now();
-    let outcomes = {
-        let requests: Vec<FusedRequest<'_>> = members
-            .iter()
-            .map(|member| FusedRequest::new(&member.job.spec).with_cancel(member.token.clone()))
-            .collect();
-        let mut observers: Vec<TraceObserver<'_>> = members
-            .iter()
-            .map(|member| TraceObserver::new(member.job.trace.as_ref()))
-            .collect();
-        let mut dyn_observers: Vec<&mut dyn Observer> = observers
-            .iter_mut()
-            .map(|observer| observer as &mut dyn Observer)
-            .collect();
-        session.run_fused_with(&requests, &mut dyn_observers)
-    };
-    // The sweep is shared work: one wall-clock interval serves the whole
-    // batch, so every member reports the same `ran`.
-    let ran = started.elapsed();
-    shared.metrics.note_run(ran);
-
-    for (member, outcome) in members.into_iter().zip(outcomes) {
-        if let Some(entry) = &member.entry {
-            Watchdog::disarm(entry, &member.token);
-        }
-        let key = member.job.cache_key().expect("fused jobs are fresh");
-        match &outcome {
-            Ok(result) => {
-                shared.cache.complete(key, result);
-                if let Some(trace) = member.job.trace.as_ref() {
-                    trace.record("cache-append", String::new());
-                }
-            }
-            Err(_) => shared.cache.forget(key, &member.job.state),
-        }
-        shared.metrics.note_job(&outcome, false);
-        shared.metrics.note_e2e(member.job.submitted.elapsed());
-        member.job.state.complete(Completion {
-            outcome,
-            finished: Instant::now(),
-            ran,
-            reuse: None,
-        });
-    }
-    shared.metrics.set_worker_stats(index, *session.stats());
 }
 
 #[cfg(test)]

@@ -209,7 +209,7 @@ fn run_pass(router: &ShardRouter, specs: impl Iterator<Item = Spec>) -> Pass {
 /// workers over a cache directory: a cold pass submitting every spec
 /// twice, a cache-warm replay, and a disk-warm replay through a fresh
 /// router over the same directory; then bursts the pool at a
-/// single-worker service, whose backlog must drain as fused sweeps.
+/// single-worker service, whose backlog must be answered in full.
 #[test]
 fn warm_and_restart_replays_are_cache_served_and_faster() {
     let config = HarnessConfig::quick();
@@ -290,10 +290,8 @@ fn warm_and_restart_replays_are_cache_served_and_faster() {
 
     // One worker makes the backlog deterministic: submission takes
     // microseconds, the first synthesis milliseconds.
-    const { assert!(paresy::service::DEFAULT_FUSE_LIMIT >= 2) };
     let single = ServiceConfig::new(1)
         .with_queue_capacity(pool.len())
-        .with_fuse_limit(paresy::service::DEFAULT_FUSE_LIMIT)
         .with_synth(config.synth_config(REFERENCE.costs));
     let service = SynthService::start(single).unwrap();
     let handles: Vec<JobHandle> = specs()
@@ -302,14 +300,7 @@ fn warm_and_restart_replays_are_cache_served_and_faster() {
     for handle in &handles {
         handle.wait();
     }
-    let fused = service.shutdown();
-    assert_eq!(fused.submitted, size);
-    assert_eq!(fused.solved + fused.failed, size);
-    assert!(fused.fused_batches > 0, "no fused sweeps ran");
-    assert!(
-        fused.fused_requests > fused.fused_batches,
-        "fusion never shared a sweep: {} requests in {} batches",
-        fused.fused_requests,
-        fused.fused_batches
-    );
+    let backlog = service.shutdown();
+    assert_eq!(backlog.submitted, size);
+    assert_eq!(backlog.solved + backlog.failed, size);
 }

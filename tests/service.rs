@@ -7,9 +7,9 @@ use paresy::prelude::*;
 
 /// Spins until the service's queue is empty — i.e. a worker has picked up
 /// everything submitted so far. Tests that stage a long-running blocker
-/// call this before queueing the jobs whose scheduling they assert on;
-/// otherwise the batch-fusion drain may legitimately pick those jobs up
-/// *together with* the blocker.
+/// call this before queueing the jobs whose scheduling they assert on, so
+/// the blocker is already running when they arrive: they wait out its
+/// whole run, and none of them can overtake it by priority.
 fn wait_for_empty_queue(service: &SynthService) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while service.metrics().queue_depth > 0 {
@@ -243,22 +243,18 @@ fn hard_spec_variant() -> Spec {
 }
 
 #[test]
-fn queued_requests_fuse_into_fewer_sweeps_with_correct_per_member_answers() {
-    // One worker on a budgeted blocker: four distinct requests pile up
-    // behind it and the drain must run them as ONE fused level sweep —
-    // 5 jobs, 2 session runs.
+fn queued_answers_do_not_wait_on_their_queue_mates() {
+    // One worker on a budgeted blocker; three easy requests and one hard
+    // request queue behind it. Each runs on its own once the blocker ends:
+    // the easy answers come back at once, and only the hard request waits
+    // for its own 1.4 s deadline.
     let synth = SynthConfig::default().with_time_budget(Duration::from_millis(1000));
-    let service =
-        SynthService::start(ServiceConfig::new(1).with_synth(synth).with_fuse_limit(8)).unwrap();
+    let service = SynthService::start(ServiceConfig::new(1).with_synth(synth)).unwrap();
 
     let blocker = service.submit(SynthRequest::new(hard_spec())).unwrap();
     wait_for_empty_queue(&service);
 
-    // Three distinct easy members (distinct specs: no caching, no
-    // coalescing) plus one hard member whose own 1.4 s deadline falls
-    // inside the fused sweep: after the blocker's ~1 s budget ends the
-    // sweep starts, and the deadline fires mid-sweep, well before the
-    // sweep's own 1 s budget would.
+    // Distinct specs: no caching, no coalescing.
     let easy_specs = [
         Spec::from_strs(["0", "00"], ["1", "10"]).unwrap(),
         Spec::from_strs(["1", "11"], ["0", "01"]).unwrap(),
@@ -272,19 +268,25 @@ fn queued_requests_fuse_into_fewer_sweeps_with_correct_per_member_answers() {
         .submit(SynthRequest::new(hard_spec_variant()).with_timeout(Duration::from_millis(1400)))
         .unwrap();
 
-    // Every easy member gets its own correct answer out of the shared
-    // sweep (partial completion: each retired as soon as its winner
-    // landed, while the hard member kept sweeping).
-    for (handle, spec) in easies.iter().zip(&easy_specs) {
-        let result = handle.wait().outcome.expect("easy member solves");
-        assert!(spec.is_satisfied_by(&result.regex), "{}", result.regex);
-    }
-    // The hard member was cancelled mid-sweep by its per-member deadline
-    // without poisoning its batch-mates.
+    let easy_responses: Vec<SynthResponse> = easies.iter().map(JobHandle::wait).collect();
+    let doomed = doomed.wait();
     assert!(
-        matches!(doomed.wait().outcome, Err(SynthesisError::Cancelled { .. })),
-        "expected per-member cancellation"
+        matches!(doomed.outcome, Err(SynthesisError::Cancelled { .. })),
+        "the hard request is cancelled at its deadline: {:?}",
+        doomed.outcome
     );
+    for (response, spec) in easy_responses.iter().zip(&easy_specs) {
+        let result = response.outcome.as_ref().expect("easy request solves");
+        assert!(spec.is_satisfied_by(&result.regex), "{}", result.regex);
+        // The easy answers must not be held back until the hard request
+        // submitted after them gives up.
+        assert!(
+            response.waited + Duration::from_millis(200) <= doomed.waited,
+            "easy answer waited {:?}, the hard request {:?}",
+            response.waited,
+            doomed.waited
+        );
+    }
     assert!(
         blocker.wait().outcome.is_err(),
         "the blocker hit its budget"
@@ -292,13 +294,10 @@ fn queued_requests_fuse_into_fewer_sweeps_with_correct_per_member_answers() {
 
     let metrics = service.shutdown();
     assert_eq!(metrics.completed, 5);
-    assert_eq!(metrics.fused_batches, 1, "one drain, one fused sweep");
-    assert_eq!(metrics.fused_requests, 4, "all four queued jobs fused");
-    assert!(metrics.fused_requests > metrics.fused_batches);
     assert_eq!(
         metrics.workers.iter().map(|w| w.runs).sum::<u64>(),
-        2,
-        "5 jobs took 2 level sweeps: the blocker's and one fused sweep"
+        5,
+        "every job is its own session run"
     );
 }
 
