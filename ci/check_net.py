@@ -6,7 +6,8 @@ refinement session and a deliberately over-limit tenant — and asserts
 the front-end contract: every response line is stamped with the wire
 protocol version (`"proto"`), the `hello` handshake advertises the
 server's version, verbs and capabilities, ordered answers arrive in
-submission order, streaming answers arrive per id, an
+input order (a malformed line and a bad request between two requests
+included), streaming answers arrive per id, an
 open→refine×3→close session flow answers cold, then warm, then
 unchanged (and a refine against the closed session is rejected with
 `unknown_session`), the flooding tenant is rejected explicitly with
@@ -67,26 +68,43 @@ def request(rid, pos, neg, tenant):
 
 
 def drive_ordered(addr, timeout, results):
-    """Default (ordered) mode: answers come back in submission order."""
+    """Default (ordered) mode: every line is answered in input order —
+    results, bad-request lines and verb acks alike."""
     sock, reader = connect(addr, timeout)
-    # Control verbs are acknowledged immediately, ahead of any answers.
+    # With nothing pending, a verb's ack comes back at once.
     send(sock, {"op": "ping"})
     ack = read_json(reader)
     assert ack.get("op") == "ping" and ack.get("status") == "ok", ack
     requests = [
-        request("o1", ["10", "100", "1000"], ["", "0", "1"], "ci-ordered"),
+        # o1 takes tens of milliseconds to solve, so the two lines after it
+        # are refused while its answer is still pending.
+        request(
+            "o1",
+            ["0110", "1001", "0000", "1111", "0101"],
+            ["1", "0", "01", "10", "011", "110"],
+            "ci-ordered",
+        ),
+        "not json",
+        {"id": "o-tenant", "pos": ["0"], "tenant": 7},
         request("o2", ["0", "00", "000"], ["1", "10"], "ci-ordered"),
         request("o3", ["11", "1111"], ["1", "111"], "ci-ordered"),
     ]
     for line in requests:
-        send(sock, line)
+        if isinstance(line, str):
+            sock.sendall((line + "\n").encode("utf-8"))
+        else:
+            send(sock, line)
     answers = [read_json(reader) for _ in requests]
-    assert [a["id"] for a in answers] == ["o1", "o2", "o3"], answers
-    for answer in answers:
-        assert answer["status"] == "solved", answer
+    # The malformed line is answered under its line number (3: the ping
+    # and o1 come first), the numeric tenant under its id.
+    assert [a["id"] for a in answers] == ["o1", 3, "o-tenant", "o2", "o3"], answers
+    statuses = [a["status"] for a in answers]
+    assert statuses == ["solved", "bad-request", "bad-request", "solved", "solved"], answers
+    solved = [a for a in answers if a["status"] == "solved"]
+    for answer in solved:
         assert "regex" in answer and "cost" in answer, answer
     sock.close()
-    results["ordered"] = len(answers)
+    results["ordered"] = len(solved)
 
 
 def drive_streaming(addr, timeout, results):

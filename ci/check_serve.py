@@ -13,8 +13,8 @@ correlate on).
 
 Flags:
   --ids a,b,c          the expected id set (exact, duplicates included)
-  --ordered            additionally require exactly that order (buffered
-                       serve answers in request order; --stream does not)
+  --ordered            additionally require exactly that order (ordered
+                       serve answers in input order; --stream does not)
   --all-solved         every result line has "status": "solved"
   --all-source S[,S]   every result line's "source" is one of S
   --cost ID=N          the given id's "cost" (repeatable)

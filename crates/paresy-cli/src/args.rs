@@ -98,8 +98,8 @@ pub struct ServeOptions {
     /// engine default. Small values force multi-segment stores, which
     /// crash-recovery tests use to exercise parallel replay.
     pub cache_roll_bytes: Option<u64>,
-    /// Answer each request as it completes, tagged by id, instead of
-    /// buffering until EOF and answering in request order (`--stream`).
+    /// Start stdin in stream mode: answer each request as it completes,
+    /// tagged by id, instead of in input order (`--stream`).
     pub stream: bool,
     /// Emit a final metrics JSON line after the results.
     pub metrics: bool,
@@ -230,8 +230,8 @@ Both default to engine-chosen values.
 serve reads one JSON request per stdin line, e.g.
   {\"id\": \"r1\", \"pos\": [\"10\", \"101\"], \"neg\": [\"\", \"0\"],
    \"priority\": 1, \"timeout_ms\": 500, \"tenant\": \"acme\"}
-and emits one JSON result per request, in request order (with --stream:
-as each completes, tagged by id, order not guaranteed). Identical
+and emits one JSON answer per line, in input order (with --stream: as
+each completes, tagged by id, order not guaranteed). Identical
 requests are answered by the result cache or coalesced onto one
 in-flight synthesis. --pools shards requests across N pools by tenant
 key (spec fingerprint when absent); --cache-dir persists each pool's
@@ -240,13 +240,15 @@ it on the next start — even after a crash or kill -9 — so a restarted
 server answers repeats without re-running syntheses.
 --cache-roll-bytes sets the segment size at which that log rolls to a
 fresh file (default 1 MiB; small values force multi-segment stores).
---metrics appends a final metrics JSON line (router snapshot).
+--metrics appends a final metrics JSON line (router snapshot). The
+verbs ping/hello/metrics/trace/prometheus/session.open/session.close
+work on stdin and on TCP; {\"op\": \"mode\", \"value\": \"stream\"}
+switches between ordered and streaming answers, and {\"op\":
+\"shutdown\"} ends the input (on TCP: drains the whole server).
 
 --listen ADDR serves the same protocol over TCP instead of stdin
 (':0' picks a free port, printed as 'listening on ADDR'). Connections
-are handled by a pool of --net-threads threads; each may switch itself
-between ordered and streaming answers with {\"op\": \"mode\", \"value\":
-\"stream\"}, and the verbs ping/metrics/shutdown are available. --tenant
+are handled by a pool of --net-threads threads. --tenant
 gives one tenant a fair-share admission policy (request weight, token
 rate per second, bucket burst, max in-flight; rate/burst accept 'inf'),
 --default-tenant replaces the all-unlimited policy for everyone else.

@@ -10,7 +10,7 @@ use rei_core::{SynthConfig, SynthSession, SynthesisError, SynthesisResult};
 use rei_lang::{Alphabet, Spec};
 
 use crate::args::{Command, SynthOptions, USAGE};
-use crate::serve::{run_serve_listen, run_serve_on, run_serve_stream};
+use crate::serve::{run_serve_listen, run_serve_on};
 use crate::specfile::{parse_spec_file, render_spec_file};
 
 /// Runs a parsed command and returns the text to print.
@@ -25,28 +25,19 @@ pub fn run_command(command: &Command) -> Result<String, String> {
         Command::Help => Ok(USAGE.to_string()),
         Command::Synth(options) => run_synth(options),
         Command::Serve(options) => {
-            // The serve command is the one consumer of stdin; tests drive
-            // `run_serve_on`/`run_serve_stream` with in-memory input.
+            // Both modes write their own lines as they happen; tests
+            // drive `run_serve_on` with in-memory input.
             if options.listen.is_some() {
-                // TCP mode: serves sockets instead of stdin and writes
-                // its own lines ("listening on ADDR", then — with
-                // --metrics — the final snapshot) as they happen.
+                // TCP mode: "listening on ADDR", then — with --metrics —
+                // the final snapshot.
                 run_serve_listen(options, std::io::stdout().lock())?;
-                Ok(String::new())
-            } else if options.stream {
-                // Streaming mode writes (and flushes) each result line
-                // itself, as its request completes.
-                // `Stdin` (unlike `StdinLock`) is `Send`, which the
-                // reader thread inside `run_serve_stream` needs.
-                run_serve_stream(
-                    options,
-                    std::io::BufReader::new(std::io::stdin()),
-                    std::io::stdout().lock(),
-                )?;
-                Ok(String::new())
             } else {
-                run_serve_on(options, std::io::stdin().lock())
+                // `Stdin` (unlike `StdinLock`) is `Send`, which the
+                // connection's reader thread needs.
+                let input = std::io::BufReader::new(std::io::stdin());
+                run_serve_on(options, input, std::io::stdout().lock())?;
             }
+            Ok(String::new())
         }
         Command::Suite { task } => run_suite(*task),
         Command::Generate {

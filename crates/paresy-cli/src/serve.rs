@@ -28,10 +28,11 @@
 //!  "source": "fresh", "wait_ms": 0.1, "run_ms": 2.5, "candidates": 117}
 //! ```
 //!
-//! By default results come in request order after EOF. With `--stream`
-//! each result is written (and flushed) as its request completes —
-//! tagged by id, order no longer guaranteed — which is what long-lived
-//! clients pipelining requests want.
+//! Stdin is served as one connection of the TCP front-end, through the
+//! same loop ([`rei_net::serve_connection`], which states the ordering
+//! rule): answers come in input order, or with `--stream` each as soon as
+//! it is determined, tagged by id — what long-lived clients pipelining
+//! requests want.
 //!
 //! With `--cache-dir DIR` each pool's result cache persists to a
 //! segmented write-ahead log under `DIR/pool-K/`: completed results are
@@ -45,34 +46,30 @@
 //! `cancelled`; malformed lines report `bad-request` with an `error`
 //! message (and are not submitted). Blank lines are skipped.
 //!
-//! Control verbs work on stdin too — `{"op": "hello"}` answers the
-//! protocol handshake, `{"op": "session.open", "name": "s1"}` opens a
-//! refinement session and `{"verb": "refine", "session": "s1", "pos":
-//! [...]}` re-solves a strengthened specification warm through it (see
-//! [`rei_net::protocol`]); verbs execute in input order, before any
-//! later request is submitted. Every output line carries `"proto":`
+//! Control verbs work as on TCP: `{"op": "hello"}` answers the protocol
+//! handshake, `{"op": "session.open", "name": "s1"}` opens a refinement
+//! session and `{"verb": "refine", "session": "s1", "pos": [...]}`
+//! re-solves a strengthened specification warm through it (see
+//! [`rei_net::protocol`]); `mode` switches the answer mode, and
+//! `shutdown` ends the input and answers what is pending. Verbs execute
+//! in input order, before any later request is submitted. Every output
+//! line carries `"proto":`
 //! [`PROTO_VERSION`](rei_net::protocol::PROTO_VERSION).
 //!
 //! With `--listen ADDR` the same protocol is served over TCP instead of
-//! stdin (see [`rei_net`]): many concurrent connections, per-connection
-//! ordered/streaming answer modes, control verbs, per-tenant fair-share
-//! admission (`--tenant`, `--default-tenant`) and a graceful drain on
-//! Ctrl-C, SIGTERM or the `shutdown` verb. The wire format itself
-//! lives in [`rei_net::protocol`], shared between both modes.
+//! stdin (see [`rei_net`]): many concurrent connections, per-tenant
+//! fair-share admission (`--tenant`, `--default-tenant`) and a graceful
+//! drain on Ctrl-C, SIGTERM or the `shutdown` verb. The wire format
+//! itself lives in [`rei_net::protocol`], shared between both modes.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, Write};
-use std::str::Utf8Error;
-use std::time::Duration;
+use std::sync::atomic::AtomicBool;
 
 use rei_core::SynthConfig;
-use rei_net::protocol::{
-    bad_request_line, hello_line, not_utf8_line, parse_line, read_line, rejected_line,
-    response_line, stamped, verb_ok_line, Input, Verb,
-};
-use rei_net::{install_shutdown_signals, session_verb_line, NetConfig, NetServer};
+use rei_net::protocol::{stamped, AnswerMode};
+use rei_net::{install_shutdown_signals, serve_connection, NetConfig, NetServer};
 use rei_service::json::Json;
-use rei_service::{JobHandle, RouterConfig, ServiceConfig, ServiceError, ShardRouter, WalOptions};
+use rei_service::{RouterConfig, ServiceConfig, ShardRouter, WalOptions};
 
 use crate::args::ServeOptions;
 
@@ -126,211 +123,55 @@ fn build_router(options: &ServeOptions) -> Result<ShardRouter, String> {
     ShardRouter::start(config).map_err(|err| err.to_string())
 }
 
-/// Answers a control verb in stdin serve mode. Only the verbs that make
-/// sense without a long-lived connection are available: `ping`, `hello`,
-/// `metrics` and the session verbs. Connection-scoped verbs (`mode`,
-/// `shutdown`, `trace`, `prometheus`) belong to `--listen` mode.
-fn stdin_verb_line(router: &ShardRouter, verb: &Verb, number: usize) -> Json {
-    match verb {
-        Verb::Ping => verb_ok_line("ping"),
-        Verb::Hello => hello_line(),
-        Verb::SessionOpen { .. } | Verb::SessionClose { .. } => session_verb_line(router, verb),
-        Verb::Metrics => stamped(router.metrics().to_json()),
-        _ => bad_request_line(
-            Json::uint(number as u64),
-            "this op is not available in stdin serve mode",
-        ),
-    }
-}
-
-/// Renders a submission failure as a `rejected` result line.
-fn submit_rejected_line(id: Json, err: &ServiceError) -> Json {
-    let reason = match err {
-        ServiceError::UnknownSession(_) => "unknown_session",
-        _ => "shutting_down",
-    };
-    rejected_line(id, reason)
-}
-
-/// Runs the serve command over `input` (one JSON request per line) and
-/// returns the JSONL output, one result per request in request order.
-/// A line that is not UTF-8 is answered with a `bad-request`.
-/// Control verbs (session opens/closes included) execute as they are
-/// read, before any later request is submitted, so an
-/// open→refine→…→close script behaves as written.
+/// Runs the serve command over `input` (one JSON request per line),
+/// writing one answer line per input line to `out`. The input is served
+/// as one connection of the TCP front-end, with its default
+/// (all-unlimited) admission and trace ring; `--stream` starts it in
+/// stream mode. With `--metrics` the final router snapshot follows as
+/// one JSON line.
 ///
 /// # Errors
 ///
 /// Returns a message when the service configuration is invalid (or a
-/// persistent cache file cannot be opened) or `input` fails; malformed
-/// *requests* are reported inline as `bad-request` result lines instead.
-pub fn run_serve_on(options: &ServeOptions, mut input: impl BufRead) -> Result<String, String> {
+/// persistent cache file cannot be opened) or `input`/`out` fails;
+/// malformed *requests* are reported inline as `bad-request` result lines
+/// instead.
+pub fn run_serve_on(
+    options: &ServeOptions,
+    input: impl BufRead + Send + 'static,
+    mut out: impl Write,
+) -> Result<(), String> {
     apply_log_level(options);
     let router = build_router(options)?;
-
-    // Submit everything up front (the bounded queues apply backpressure
-    // by blocking the reader), then answer in request order.
-    enum Line {
-        Submitted(Json, JobHandle),
-        Rendered(Json),
-    }
-    let mut lines = Vec::new();
-    let mut buf = Vec::new();
-    let mut number = 0;
-    while let Some(line) =
-        read_line(&mut input, &mut buf).map_err(|err| format!("cannot read input: {err}"))?
-    {
-        number += 1;
-        let Ok(line) = line else {
-            lines.push(Line::Rendered(not_utf8_line(number)));
-            continue;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line, number) {
-            Input::Control(verb) => {
-                lines.push(Line::Rendered(stdin_verb_line(&router, &verb, number)));
-            }
-            Input::Request(parsed) => match router.submit(parsed.request) {
-                Ok(handle) => lines.push(Line::Submitted(parsed.id, handle)),
-                Err(err) => lines.push(Line::Rendered(submit_rejected_line(parsed.id, &err))),
-            },
-            Input::Bad { id, error } => {
-                lines.push(Line::Rendered(bad_request_line(id, &error)));
-            }
-        }
-    }
-
-    let mut out = String::new();
-    for line in &lines {
-        let rendered = match line {
-            Line::Submitted(id, handle) => response_line(id.clone(), &handle.wait(), None),
-            Line::Rendered(rendered) => rendered.clone(),
-        };
-        out.push_str(&rendered.to_compact());
-        out.push('\n');
-    }
-    let snapshot = router.shutdown();
+    // No address is bound: only the config's admission defaults are used.
+    let fair = NetConfig::new("stdin").admission_stage()?;
+    let mode = if options.stream {
+        AnswerMode::Stream
+    } else {
+        AnswerMode::Ordered
+    };
+    let served = serve_connection(
+        input,
+        &mut out,
+        mode,
+        &router,
+        &fair,
+        &AtomicBool::new(false),
+    );
+    let mut snapshot = router.shutdown();
+    served.map_err(|err| format!("cannot serve stdin: {err}"))?;
     if options.metrics {
-        out.push_str(&stamped(snapshot.to_json()).to_compact());
-        out.push('\n');
+        snapshot.admission = fair.counters();
+        snapshot.tenants = fair.tenant_counters();
+        emit(&mut out, &stamped(snapshot.to_json()))?;
     }
-    Ok(out)
+    Ok(())
 }
 
 fn emit(out: &mut impl Write, line: &Json) -> Result<(), String> {
     writeln!(out, "{}", line.to_compact())
         .and_then(|()| out.flush())
         .map_err(|err| format!("cannot write output: {err}"))
-}
-
-/// Emits every pending response that has already completed; reports
-/// whether any line was written (so the caller knows to sleep).
-fn drain_completed(
-    pending: &mut VecDeque<(Json, JobHandle)>,
-    out: &mut impl Write,
-) -> Result<bool, String> {
-    let mut emitted = false;
-    let mut index = 0;
-    while index < pending.len() {
-        match pending[index].1.try_wait() {
-            Some(response) => {
-                let (id, _) = pending.remove(index).expect("index < len");
-                emit(out, &response_line(id, &response, None))?;
-                emitted = true;
-            }
-            None => index += 1,
-        }
-    }
-    Ok(emitted)
-}
-
-/// Runs the serve command in streaming mode: requests are submitted as
-/// they are read from `input`, and each result line is written (and
-/// flushed) to `out` as its request completes — tagged by id, in
-/// completion order rather than request order.
-///
-/// Reading happens on its own *detached* thread: a pipelining client
-/// that waits for an answer before sending its next request (the point
-/// of streaming) must receive that answer while the server's input read
-/// is still blocked, not after the next line arrives. The thread is
-/// deliberately not joined — were the output to fail while the reader
-/// sits in a blocking `read`, a join would hang the error return until
-/// the client happened to send another line. An abandoned reader exits
-/// on its next line (its channel is closed); in the CLI the process
-/// exits first anyway. This is also why `input` must be `'static`. A
-/// line that is not UTF-8 is answered with a `bad-request`.
-///
-/// # Errors
-///
-/// Returns a message when the service configuration is invalid or the
-/// input/output streams fail; malformed requests are reported inline.
-pub fn run_serve_stream(
-    options: &ServeOptions,
-    mut input: impl BufRead + Send + 'static,
-    mut out: impl Write,
-) -> Result<(), String> {
-    apply_log_level(options);
-    let router = build_router(options)?;
-    let mut pending: VecDeque<(Json, JobHandle)> = VecDeque::new();
-    let (sender, lines) = std::sync::mpsc::channel::<std::io::Result<Result<String, Utf8Error>>>();
-    std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        loop {
-            let line = match read_line(&mut input, &mut buf) {
-                Ok(None) => return,
-                Ok(Some(line)) => Ok(line.map(str::to_owned)),
-                Err(err) => Err(err),
-            };
-            let failed = line.is_err();
-            if sender.send(line).is_err() || failed {
-                return;
-            }
-        }
-    });
-    let tick = Duration::from_millis(1);
-    let mut number = 0;
-    let mut open = true;
-    while open || !pending.is_empty() {
-        // Poll for a new request while answering completed ones; the
-        // 1 ms tick bounds the latency of both directions.
-        match lines.recv_timeout(tick) {
-            Ok(line) => {
-                let line = line.map_err(|err| format!("cannot read input: {err}"))?;
-                number += 1;
-                let Ok(line) = line else {
-                    emit(&mut out, &not_utf8_line(number))?;
-                    continue;
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_line(&line, number) {
-                    Input::Control(verb) => {
-                        emit(&mut out, &stdin_verb_line(&router, &verb, number))?;
-                    }
-                    Input::Request(parsed) => match router.submit(parsed.request) {
-                        Ok(handle) => pending.push_back((parsed.id, handle)),
-                        Err(err) => emit(&mut out, &submit_rejected_line(parsed.id, &err))?,
-                    },
-                    Input::Bad { id, error } => emit(&mut out, &bad_request_line(id, &error))?,
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => open = false,
-        }
-        if !drain_completed(&mut pending, &mut out)? && !open && !pending.is_empty() {
-            // Input is done and a disconnected channel returns at once:
-            // without this sleep the final wait would spin a full core.
-            std::thread::sleep(tick);
-        }
-    }
-    let snapshot = router.shutdown();
-    if options.metrics {
-        emit(&mut out, &stamped(snapshot.to_json()))?;
-    }
-    Ok(())
 }
 
 /// Runs the serve command as a TCP front-end on `--listen ADDR`: binds,
@@ -381,6 +222,7 @@ pub fn run_serve_listen(options: &ServeOptions, mut out: impl Write) -> Result<(
 mod tests {
     use super::*;
     use rei_core::BackendChoice;
+    use std::time::Duration;
 
     fn options() -> ServeOptions {
         ServeOptions {
@@ -393,6 +235,13 @@ mod tests {
         raw.lines().map(|l| Json::parse(l).unwrap()).collect()
     }
 
+    /// Serves `input` to completion and returns the output.
+    fn serve(options: &ServeOptions, input: &'static [u8]) -> String {
+        let mut out = Vec::new();
+        run_serve_on(options, input, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn answers_every_request_in_order() {
         let input = r#"{"id": "intro", "pos": ["10", "101", "100"], "neg": ["ε", "0", "1"]}
@@ -400,7 +249,7 @@ mod tests {
 
 {"id": 7, "pos": ["0", "00"], "neg": ["1", "10"]}
 "#;
-        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
+        let out = serve(&options(), input.as_bytes());
         let results = lines(&out);
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].get("id").and_then(Json::as_str), Some("intro"));
@@ -428,26 +277,24 @@ mod tests {
         let input: &[u8] = b"{\"id\": \"a\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"]}\n\
                              \xff\xfe\n\
                              {\"id\": \"b\", \"pos\": [\"1\", \"11\"], \"neg\": [\"0\"]}\n";
-        let buffered = lines(&run_serve_on(&options(), input).unwrap());
+        let ordered = lines(&serve(&options(), input));
+        let statuses: Vec<String> = ordered
+            .iter()
+            .map(|r| {
+                let status = r.get("status").and_then(Json::as_str).unwrap();
+                format!("{} {status}", r.get("id").unwrap().to_compact())
+            })
+            .collect();
+        assert_eq!(statuses, ["\"a\" solved", "2 bad-request", "\"b\" solved"]);
         let mut streaming = options();
         streaming.stream = true;
-        let mut raw = Vec::new();
-        run_serve_stream(&streaming, input, &mut raw).unwrap();
-        let streamed = lines(&String::from_utf8(raw).unwrap());
-        for results in [buffered, streamed] {
-            // Streaming answers in completion order: compare as a map.
-            let answers: std::collections::BTreeMap<String, Option<&str>> = results
-                .iter()
-                .map(|r| {
-                    let id = r.get("id").unwrap().to_compact();
-                    (id, r.get("status").and_then(Json::as_str))
-                })
-                .collect();
-            assert_eq!(results.len(), 3, "{results:?}");
-            assert_eq!(answers["\"a\""], Some("solved"));
-            assert_eq!(answers["2"], Some("bad-request"));
-            assert_eq!(answers["\"b\""], Some("solved"));
-        }
+        let mut streamed: Vec<String> = lines(&serve(&streaming, input))
+            .iter()
+            .map(|r| r.get("id").unwrap().to_compact())
+            .collect();
+        // Streaming answers in completion order: compare as a set.
+        streamed.sort();
+        assert_eq!(streamed, ["\"a\"", "\"b\"", "2"]);
     }
 
     #[test]
@@ -459,10 +306,7 @@ mod tests {
                      not json\n\
                      {\"id\": \"b\", \"pos\": [\"1\", \"11\"], \"neg\": [\"0\"], \"tenant\": \"t2\"}\n\
                      {\"id\": \"c\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"], \"tenant\": \"t1\"}\n";
-        let mut raw = Vec::new();
-        run_serve_stream(&options, input.as_bytes(), &mut raw).unwrap();
-        let raw = String::from_utf8(raw).unwrap();
-        let results = lines(&raw);
+        let results = lines(&serve(&options, input.as_bytes()));
         assert_eq!(results.len(), 4);
         // Order is not guaranteed; the id *set* is, and ids correlate.
         let mut ids: Vec<String> = results
@@ -549,7 +393,7 @@ mod tests {
         });
         let writer = TimedWriter::default();
         let started = std::time::Instant::now();
-        run_serve_stream(&options, client, writer.clone()).unwrap();
+        run_serve_on(&options, client, writer.clone()).unwrap();
         let written = writer.0.lock().unwrap();
         let (answered_at, first) = written.first().expect("one answer line");
         let line = Json::parse(std::str::from_utf8(first).unwrap().trim()).unwrap();
@@ -565,7 +409,7 @@ mod tests {
     #[test]
     fn malformed_lines_become_bad_request_results() {
         let input = "{\"pos\": [\"0\"]}\nnot json\n{\"neg\": [\"1\"]}\n{\"pos\": \"0\"}\n";
-        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
+        let out = serve(&options(), input.as_bytes());
         let results = lines(&out);
         assert_eq!(results.len(), 4);
         assert_eq!(
@@ -582,11 +426,10 @@ mod tests {
         }
         // Contradictory examples are also a bad request, not a crash —
         // and the client's own id survives into the error line.
-        let out = run_serve_on(
+        let out = serve(
             &options(),
             "{\"id\": \"r9\", \"pos\": [\"0\"], \"neg\": [\"0\"]}\n".as_bytes(),
-        )
-        .unwrap();
+        );
         let result = &lines(&out)[0];
         assert_eq!(
             result.get("status").and_then(Json::as_str),
@@ -594,14 +437,13 @@ mod tests {
         );
         assert_eq!(result.get("id").and_then(Json::as_str), Some("r9"));
         // A hostile timeout or tenant is a bad request too, not a panic.
-        let out = run_serve_on(
+        let out = serve(
             &options(),
             "{\"id\": \"t\", \"pos\": [\"0\"], \"timeout_ms\": -5}\n\
              {\"pos\": [\"0\"], \"timeout_ms\": 1e40}\n\
              {\"pos\": [\"0\"], \"tenant\": 7}\n"
                 .as_bytes(),
-        )
-        .unwrap();
+        );
         for result in &lines(&out) {
             assert_eq!(
                 result.get("status").and_then(Json::as_str),
@@ -621,7 +463,7 @@ mod tests {
             {\"verb\": \"refine\", \"session\": \"s1\", \"id\": \"b\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\", \"10\"]}\n\
             {\"verb\": \"refine\", \"session\": \"ghost\", \"id\": \"c\", \"pos\": [\"0\"]}\n\
             {\"op\": \"session.close\", \"name\": \"s1\"}\n";
-        let out = run_serve_on(&options, input.as_bytes()).unwrap();
+        let out = serve(&options, input.as_bytes());
         let results = lines(&out);
         assert_eq!(results.len(), 6, "{out}");
         for line in &results {
@@ -656,22 +498,44 @@ mod tests {
     }
 
     #[test]
-    fn connection_scoped_verbs_are_refused_on_stdin() {
-        let input = "{\"op\": \"shutdown\"}\n{\"op\": \"ping\"}\n";
-        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
-        let results = lines(&out);
+    fn mode_and_shutdown_work_on_stdin() {
+        let input = "{\"op\": \"mode\", \"value\": \"stream\"}\n\
+                     {\"id\": \"a\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"]}\n\
+                     {\"op\": \"mode\", \"value\": \"ordered\"}\n\
+                     {\"op\": \"shutdown\"}\n\
+                     {\"id\": \"late\", \"pos\": [\"1\"]}\n";
+        let results = lines(&serve(&options(), input.as_bytes()));
+        let field =
+            |line: &Json, key: &str| line.get(key).and_then(Json::as_str).map(str::to_string);
+        let summary: Vec<_> = results
+            .iter()
+            .map(|line| {
+                (
+                    field(line, "op").or(field(line, "id")),
+                    field(line, "status"),
+                )
+            })
+            .collect();
+        let entry = |name: &str, status: &str| (Some(name.to_string()), Some(status.to_string()));
+        // Back in ordered mode, the ack waits for the pending answer;
+        // `shutdown` ends the input, so `late` is never read.
         assert_eq!(
-            results[0].get("status").and_then(Json::as_str),
-            Some("bad-request")
+            summary,
+            [
+                entry("mode", "ok"),
+                entry("a", "solved"),
+                entry("mode", "ok"),
+                entry("shutdown", "ok"),
+            ]
         );
-        assert_eq!(results[1].get("op").and_then(Json::as_str), Some("ping"));
-        assert_eq!(results[1].get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(field(&results[0], "value").as_deref(), Some("stream"));
+        assert_eq!(field(&results[2], "value").as_deref(), Some("ordered"));
     }
 
     #[test]
     fn expired_deadline_is_reported_as_cancelled() {
         let input = "{\"pos\": [\"10\", \"101\"], \"neg\": [\"\", \"0\"], \"timeout_ms\": 0}\n";
-        let out = run_serve_on(&options(), input.as_bytes()).unwrap();
+        let out = serve(&options(), input.as_bytes());
         let results = lines(&out);
         assert_eq!(
             results[0].get("status").and_then(Json::as_str),
@@ -687,7 +551,7 @@ mod tests {
         options.pools = 2;
         options.backend = BackendChoice::ThreadParallel { threads: Some(2) };
         let input = "{\"pos\": [\"0\"], \"neg\": [\"1\"]}\n{\"pos\": [\"0\"], \"neg\": [\"1\"]}\n";
-        let out = run_serve_on(&options, input.as_bytes()).unwrap();
+        let out = serve(&options, input.as_bytes());
         let results = lines(&out);
         assert_eq!(results.len(), 3);
         let metrics = &results[2];
@@ -715,12 +579,12 @@ mod tests {
         options.metrics = true;
         let input = "{\"id\": \"x\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"]}\n";
 
-        let first = run_serve_on(&options, input.as_bytes()).unwrap();
+        let first = serve(&options, input.as_bytes());
         let first = lines(&first);
         assert_eq!(first[0].get("source").and_then(Json::as_str), Some("fresh"));
 
         // A second process over the same directory answers from disk.
-        let second = run_serve_on(&options, input.as_bytes()).unwrap();
+        let second = serve(&options, input.as_bytes());
         let second = lines(&second);
         assert_eq!(
             second[0].get("source").and_then(Json::as_str),
@@ -805,31 +669,17 @@ mod tests {
         let results: Vec<Json> = std::io::BufReader::new(client)
             .lines()
             .map(|l| Json::parse(&l.unwrap()).unwrap())
-            .filter(|l| l.get("op").is_none())
             .collect();
-        // Rejections are answered immediately, bypassing the ordered
-        // buffering — correlate by id rather than by arrival order.
-        assert_eq!(results.len(), 2, "{results:?}");
-        let by_id = |id: &str| {
-            results
-                .iter()
-                .find(|r| r.get("id").and_then(Json::as_str) == Some(id))
-                .unwrap_or_else(|| panic!("no answer for {id}: {results:?}"))
-        };
-        assert_eq!(
-            by_id("a").get("status").and_then(Json::as_str),
-            Some("solved")
-        );
+        // Every line is answered in input order, the shutdown ack last.
+        assert_eq!(results.len(), 3, "{results:?}");
+        let field = |index: usize, key: &str| results[index].get(key).and_then(Json::as_str);
+        assert_eq!(field(0, "id"), Some("a"));
+        assert_eq!(field(0, "status"), Some("solved"));
         // The one-token bucket rejects the second request explicitly.
-        let rejected = by_id("b");
-        assert_eq!(
-            rejected.get("status").and_then(Json::as_str),
-            Some("rejected")
-        );
-        assert_eq!(
-            rejected.get("reason").and_then(Json::as_str),
-            Some("rate_limited")
-        );
+        assert_eq!(field(1, "id"), Some("b"));
+        assert_eq!(field(1, "status"), Some("rejected"));
+        assert_eq!(field(1, "reason"), Some("rate_limited"));
+        assert_eq!(field(2, "op"), Some("shutdown"));
 
         server.join().unwrap();
         let metrics = written_lines(&writer)
@@ -904,7 +754,7 @@ mod tests {
     fn invalid_service_config_is_an_error() {
         let mut bad = options();
         bad.allowed_error = 2.0;
-        let err = run_serve_on(&bad, "".as_bytes()).unwrap_err();
+        let err = run_serve_on(&bad, "".as_bytes(), Vec::new()).unwrap_err();
         assert!(err.contains("allowed error"), "{err}");
     }
 }

@@ -161,11 +161,6 @@ impl SynthSession {
         &self.stats
     }
 
-    /// Total runs attempted so far.
-    pub fn runs_completed(&self) -> u64 {
-        self.stats.runs
-    }
-
     /// Runs regular expression inference on `spec`.
     ///
     /// On success the returned expression is *precise* (accepts all of

@@ -1,19 +1,22 @@
 //! The TCP JSONL serving front-end of the synthesis service.
 //!
 //! `rei-service` shards, caches and survives restarts, but on its own it
-//! answers only one stdin/stdout loop. This crate puts a network
-//! listener in front of a [`ShardRouter`](rei_service::ShardRouter):
+//! has no transport. This crate puts a network listener in front of a
+//! [`ShardRouter`](rei_service::ShardRouter):
 //!
 //! ```text
 //!  clients ── TCP ──► accept loop ──► bounded handler pool
 //!                                          │  one thread per live
 //!                                          ▼  connection
-//!                                  per-connection serve loop
-//!                                  (JSONL in, JSONL out; ordered
-//!                                   or streaming answers; control
-//!                                   verbs ping/hello/metrics/mode/
-//!                                   session.open/session.close/
-//!                                   shutdown; refine requests)
+//!  stdin (paresy serve) ──────────► serve_connection: one loop
+//!                                  per connection, woken by input
+//!                                  lines and completed jobs (JSONL
+//!                                  in, JSONL out; ordered or
+//!                                  streaming answers; control verbs
+//!                                  ping/hello/metrics/trace/
+//!                                  prometheus/mode/session.open/
+//!                                  session.close/shutdown; refine
+//!                                  requests)
 //!                                          │
 //!                                          ▼
 //!                                  FairShare admission
@@ -29,8 +32,9 @@
 //!
 //! Everything is threads, mutexes and condvars — no async runtime, like
 //! the rest of the workspace. The [`protocol`] module holds the wire
-//! format (shared with the CLI's stdin serve mode); [`NetServer`] is the
-//! listener; [`install_shutdown_signals`] turns Ctrl-C and an
+//! format; [`serve_connection`] is the connection loop that TCP and the
+//! CLI's stdin serve mode share; [`NetServer`] is the listener;
+//! [`install_shutdown_signals`] turns Ctrl-C and an
 //! orchestrator's SIGTERM into the same graceful drain the `shutdown`
 //! control verb performs.
 //!
@@ -50,14 +54,11 @@
 //! client
 //!     .write_all(b"{\"id\": \"a\", \"pos\": [\"0\", \"00\"], \"neg\": [\"1\"]}\n{\"op\": \"shutdown\"}\n")
 //!     .unwrap();
-//! let lines = BufReader::new(client).lines();
-//! // Control verbs are acked immediately, so the shutdown ack may
-//! // arrive ahead of the answer: skip `"op"` lines.
-//! let answer = lines
-//!     .map(|line| line.unwrap())
-//!     .find(|line| !line.contains("\"op\""))
-//!     .unwrap();
-//! assert!(answer.contains("\"status\":\"solved\""), "{answer}");
+//! // Every line is answered in input order: the answer, then the
+//! // shutdown ack.
+//! let lines: Vec<String> = BufReader::new(client).lines().map(|l| l.unwrap()).collect();
+//! assert!(lines[0].contains("\"status\":\"solved\""), "{lines:?}");
+//! assert!(lines[1].contains("\"op\":\"shutdown\""), "{lines:?}");
 //! let snapshot = serving.join().unwrap();
 //! assert_eq!(snapshot.admission.admitted, 1);
 //! ```
@@ -69,5 +70,5 @@ pub mod protocol;
 mod server;
 mod signal;
 
-pub use server::{session_verb_line, NetConfig, NetServer};
+pub use server::{serve_connection, NetConfig, NetServer};
 pub use signal::{install_shutdown_signals, shutdown_tripped};

@@ -25,11 +25,13 @@
 //! `bad-request` carrying its line number, and reading goes on.
 //!
 //! A line carrying an `"op"` key is a *control verb* instead of a
-//! request — see [`Verb`]. Verbs answer on the same connection:
-//! `{"op": "ping"}` echoes `{"op": "ping", "status": "ok"}`, `hello`
-//! returns the protocol version and capability list, `metrics` returns
-//! the router snapshot as one line, `mode` switches the connection's
-//! answer mode, and `shutdown` asks the whole server to drain and exit.
+//! request — see [`Verb`]. Verbs answer on the same connection, TCP or
+//! stdin: `{"op": "ping"}` echoes `{"op": "ping", "status": "ok"}`,
+//! `hello` returns the protocol version and capability list, `metrics`
+//! returns the router snapshot as one line, `mode` switches the
+//! connection's answer mode, and `shutdown` asks the whole server (on
+//! stdin: the input) to drain and exit. A verb's ack is ordered like any
+//! other answer (see [`serve_connection`](crate::serve_connection)).
 //!
 //! # Refinement sessions
 //!
@@ -93,9 +95,9 @@ pub struct ParsedRequest {
 /// How a connection's answers are delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnswerMode {
-    /// One result line per request, in request order.
+    /// One answer line per input line, in input order.
     Ordered,
-    /// Each result line as its request completes, tagged by id.
+    /// Each answer line as soon as it is determined, tagged by id.
     Stream,
 }
 

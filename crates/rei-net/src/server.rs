@@ -1,12 +1,12 @@
-//! The TCP listener, its bounded handler pool, and the per-connection
-//! serve loop.
+//! The TCP listener, its bounded handler pool, and the connection serve
+//! loop that TCP and stdin serving share.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, Read as _, Write};
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, TrySendError};
+use std::sync::mpsc::{Sender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -23,14 +23,10 @@ use crate::protocol::{
 };
 use crate::signal::shutdown_tripped;
 
-/// How long blocked loops sleep between polls of their stop conditions:
+/// How long blocked loops wait between polls of their stop conditions:
 /// the accept loop between accept attempts, the handler dispatch between
-/// channel probes.
-const ACCEPT_TICK: Duration = Duration::from_millis(10);
-
-/// The per-connection answer-poll tick; bounds the latency between a job
-/// completing and its line reaching the client.
-const ANSWER_TICK: Duration = Duration::from_millis(1);
+/// channel probes, and a connection loop with nothing else to wake it.
+const STOP_TICK: Duration = Duration::from_millis(10);
 
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -96,10 +92,19 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the trace ring capacity (clamped to at least 1).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity.max(1);
-        self
+    /// Builds the admission stage this config describes, with a trace
+    /// ring of `trace_capacity` events and the `slo` dump threshold:
+    /// what [`NetServer::bind`] serves every connection through, and what
+    /// a one-connection server (stdin) passes to [`serve_connection`].
+    ///
+    /// # Errors
+    ///
+    /// A message when the admission config does not validate.
+    pub fn admission_stage(&self) -> Result<FairShare, String> {
+        let traces = TraceRegistry::new(self.trace_capacity, self.slo);
+        FairShare::new(self.admission.clone())
+            .map(|fair| fair.with_traces(traces))
+            .map_err(|err| format!("invalid admission config: {err}"))
     }
 }
 
@@ -118,7 +123,6 @@ pub struct NetServer {
     fair: Arc<FairShare>,
     stop: Arc<AtomicBool>,
     handler_threads: usize,
-    traces: Arc<TraceRegistry>,
     scrape: Option<TcpListener>,
     scrape_addr: Option<SocketAddr>,
 }
@@ -142,10 +146,7 @@ impl NetServer {
     /// A message when the address cannot be bound or the admission
     /// config does not validate.
     pub fn bind(config: NetConfig, router: ShardRouter) -> Result<Self, String> {
-        let traces = TraceRegistry::new(config.trace_capacity, config.slo);
-        let fair = FairShare::new(config.admission)
-            .map_err(|err| format!("invalid admission config: {err}"))?
-            .with_traces(Arc::clone(&traces));
+        let fair = config.admission_stage()?;
         let listener = TcpListener::bind(&config.listen)
             .map_err(|err| format!("cannot bind {}: {err}", config.listen))?;
         listener
@@ -175,7 +176,6 @@ impl NetServer {
             fair: Arc::new(fair),
             stop: Arc::new(AtomicBool::new(false)),
             handler_threads: config.handler_threads.max(1),
-            traces,
             scrape,
             scrape_addr,
         })
@@ -217,7 +217,6 @@ impl NetServer {
                 let router = Arc::clone(&self.router);
                 let fair = Arc::clone(&self.fair);
                 let stop = Arc::clone(&self.stop);
-                let traces = Arc::clone(&self.traces);
                 std::thread::Builder::new()
                     .name(format!("rei-net-handler-{index}"))
                     .spawn(move || loop {
@@ -228,10 +227,17 @@ impl NetServer {
                             let inbox = inbox.lock().unwrap_or_else(|e| e.into_inner());
                             inbox.recv()
                         };
-                        match stream {
-                            Ok(stream) => handle_connection(stream, &router, &fair, &traces, &stop),
-                            Err(_) => return, // accept loop gone: drain done
+                        let Ok(stream) = stream else {
+                            return; // accept loop gone: drain done
+                        };
+                        if let Ok(input) = stream.try_clone() {
+                            // An error means the client is gone: close.
+                            let input = BufReader::new(input);
+                            let mode = AnswerMode::Ordered;
+                            let _ = serve_connection(input, &stream, mode, &router, &fair, &stop);
                         }
+                        // Closing both halves also ends the reader thread.
+                        let _ = stream.shutdown(Shutdown::Both);
                     })
                     .expect("spawning a handler thread")
             })
@@ -268,14 +274,14 @@ impl NetServer {
                                     break; // dropping the stream closes it
                                 }
                                 stream = back;
-                                std::thread::sleep(ACCEPT_TICK);
+                                std::thread::sleep(STOP_TICK);
                             }
                             Err(TrySendError::Disconnected(_)) => break,
                         }
                     }
                 }
                 Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_TICK);
+                    std::thread::sleep(STOP_TICK);
                 }
                 Err(err) => return Err(format!("accept failed: {err}")),
             }
@@ -294,11 +300,15 @@ impl NetServer {
         let Ok(router) = Arc::try_unwrap(self.router) else {
             unreachable!("handlers joined; no other router owners remain");
         };
-        let mut snapshot = router.shutdown();
-        snapshot.admission = self.fair.counters();
-        snapshot.tenants = self.fair.tenant_counters();
-        Ok(snapshot)
+        Ok(with_admission(router.shutdown(), &self.fair))
     }
+}
+
+/// Adds `fair`'s admission counters to a router snapshot.
+fn with_admission(mut snapshot: RouterSnapshot, fair: &FairShare) -> RouterSnapshot {
+    snapshot.admission = fair.counters();
+    snapshot.tenants = fair.tenant_counters();
+    snapshot
 }
 
 /// Answers every connection on the scrape listener with one HTTP/1.0
@@ -318,10 +328,7 @@ fn serve_scrapes(
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
                 let mut head = [0u8; 1024];
                 let _ = stream.read(&mut head);
-                let mut snapshot = router.metrics();
-                snapshot.admission = fair.counters();
-                snapshot.tenants = fair.tenant_counters();
-                let body = snapshot.to_prometheus();
+                let body = with_admission(router.metrics(), fair).to_prometheus();
                 let response = format!(
                     "HTTP/1.0 200 OK\r\n\
                      Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -334,16 +341,50 @@ fn serve_scrapes(
                 let _ = stream.shutdown(Shutdown::Both);
             }
             Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
+                std::thread::sleep(STOP_TICK);
             }
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
+            Err(_) => std::thread::sleep(STOP_TICK),
         }
     }
 }
 
-/// One queued answer: the id to echo, the job, and the admission
-/// in-flight slot released once the answer is on the wire.
-type Pending = VecDeque<(Json, JobHandle, InflightGuard)>;
+/// One line's answer, queued until the connection's mode lets it out. A
+/// `Ready` line was rendered when its input line was read (verb acks,
+/// `bad-request`, `rejected`). A `Job` answer is rendered once its job
+/// completes, and its admission slot is freed once it is written.
+enum Answer {
+    Ready(Json),
+    Job {
+        id: Json,
+        handle: JobHandle,
+        _slot: InflightGuard,
+    },
+}
+
+impl Answer {
+    /// The line to write, once it is determined. Finishing a job's trace
+    /// here fires its SLO dump when `waited` reached the threshold.
+    fn line(&self) -> Option<Json> {
+        match self {
+            Answer::Ready(line) => Some(line.clone()),
+            Answer::Job { id, handle, .. } => handle.try_wait().map(|response| {
+                let trace = handle.trace();
+                if let Some(trace) = trace {
+                    trace.finish(response.waited);
+                }
+                response_line(id.clone(), &response, trace.map(Trace::id))
+            }),
+        }
+    }
+}
+
+/// What wakes a connection loop.
+enum Event {
+    /// The reader's next input line (`None` at end of input).
+    Input(std::io::Result<Option<Result<String, Utf8Error>>>),
+    /// One of the connection's jobs completed.
+    Completed,
+}
 
 /// Generates a server-side session name for a `session.open` without
 /// one. Distinct from the pools' own `s-N` scheme so the two generators
@@ -353,17 +394,20 @@ fn generate_session_name() -> String {
     format!("net-{}", NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Performs a session verb ([`Verb::SessionOpen`] / [`Verb::SessionClose`])
-/// against the router and renders the ack (or error) line. Shared
-/// between the TCP serve loop and the CLI's stdin modes.
-///
-/// # Panics
-///
-/// When called with a non-session verb.
-pub fn session_verb_line(router: &ShardRouter, verb: &Verb) -> Json {
+/// Performs a control verb and renders its ack (or error) line. `mode`
+/// and `shutdown` act on the calling connection loop's state.
+fn verb_line(
+    verb: Verb,
+    router: &ShardRouter,
+    fair: &FairShare,
+    mode: &mut AnswerMode,
+    stop: &AtomicBool,
+) -> Json {
     match verb {
+        Verb::Ping => verb_ok_line("ping"),
+        Verb::Hello => hello_line(),
         Verb::SessionOpen { name, tenant } => {
-            let name = name.clone().unwrap_or_else(generate_session_name);
+            let name = name.unwrap_or_else(generate_session_name);
             match router.open_session(&name, tenant.as_deref()) {
                 Ok(opened) => {
                     let mut ok = verb_ok_line("session.open");
@@ -374,7 +418,7 @@ pub fn session_verb_line(router: &ShardRouter, verb: &Verb) -> Json {
             }
         }
         Verb::SessionClose { name, tenant } => {
-            match router.close_session(name, tenant.as_deref()) {
+            match router.close_session(&name, tenant.as_deref()) {
                 Ok(()) => {
                     let mut ok = verb_ok_line("session.close");
                     ok.set("session", Json::str(name));
@@ -383,175 +427,177 @@ pub fn session_verb_line(router: &ShardRouter, verb: &Verb) -> Json {
                 Err(err) => verb_err_line("session.close", &err.to_string()),
             }
         }
-        _ => unreachable!("session_verb_line only handles session verbs"),
+        Verb::Metrics => stamped(with_admission(router.metrics(), fair).to_json()),
+        Verb::Trace(trace) => {
+            let events = fair.traces().map(|traces| traces.events(trace));
+            trace_line(trace, &events.unwrap_or_default())
+        }
+        Verb::Prometheus => {
+            let mut ok = verb_ok_line("prometheus");
+            let text = with_admission(router.metrics(), fair).to_prometheus();
+            ok.set("text", Json::str(text));
+            ok
+        }
+        Verb::Mode(new_mode) => {
+            *mode = new_mode;
+            let mut ok = verb_ok_line("mode");
+            ok.set("value", Json::str(new_mode.as_str()));
+            ok
+        }
+        Verb::Shutdown => {
+            stop.store(true, Ordering::SeqCst);
+            verb_ok_line("shutdown")
+        }
     }
 }
 
-fn emit(out: &mut TcpStream, line: &Json) -> std::io::Result<()> {
+fn emit(out: &mut impl Write, line: &Json) -> std::io::Result<()> {
     let mut text = line.to_compact();
     text.push('\n');
     out.write_all(text.as_bytes())?;
     out.flush()
 }
 
-/// Emits every pending answer the mode allows: in `Ordered` mode only
-/// completed answers at the *front* (request order is the contract), in
-/// `Stream` mode any completed answer. Reports whether a line was
-/// written.
-fn drain_completed(
-    pending: &mut Pending,
-    out: &mut TcpStream,
+/// Writes every pending answer the mode lets out: in `Ordered` mode the
+/// determined answers at the *front* (input order is the contract), in
+/// `Stream` mode every determined answer.
+fn drain(
+    pending: &mut VecDeque<Answer>,
+    out: &mut impl Write,
     mode: AnswerMode,
-) -> std::io::Result<bool> {
-    let mut emitted = false;
+) -> std::io::Result<()> {
     let mut index = 0;
     while index < pending.len() {
-        let completed = pending[index].1.try_wait();
-        match completed {
-            Some(response) => {
-                let (id, handle, guard) = pending.remove(index).expect("index < len");
-                let trace: Option<Trace> = handle.trace().cloned();
-                if let Some(trace) = &trace {
-                    // `waited` is submission-to-completion; the SLO dump
-                    // fires here when it reached the threshold.
-                    trace.finish(response.waited);
-                }
-                emit(
-                    out,
-                    &response_line(id, &response, trace.as_ref().map(Trace::id)),
-                )?;
-                drop(guard); // the answer is delivered; free the slot
-                emitted = true;
+        match pending[index].line() {
+            Some(line) => {
+                emit(out, &line)?;
+                pending.remove(index); // delivered: frees its admission slot
             }
             None if mode == AnswerMode::Ordered => break,
             None => index += 1,
         }
     }
-    Ok(emitted)
+    Ok(())
 }
 
-/// Serves one connection to completion: reads request lines on a helper
-/// thread, submits through admission, answers in the connection's
-/// current mode, and drains pending answers when the client closes its
-/// half or the server begins shutdown.
-fn handle_connection(
-    stream: TcpStream,
+/// Serves one connection, TCP or stdin, until its input ends or `stop`
+/// is set, then writes what is pending and returns.
+///
+/// A reader thread reads `input` line by line into the loop's event
+/// channel; every admitted job sends a wake-up into the same channel when
+/// it completes. The loop blocks on that channel, so each answer is
+/// written as soon as its mode allows, never on a timer. In `Ordered`
+/// mode every line's answer takes its place in input order: results,
+/// `bad-request`, `rejected` and verb acks alike. In `Stream` mode every
+/// answer is written as soon as it is determined. A `mode` verb applies
+/// at once to everything still pending; a `shutdown` verb sets `stop`.
+/// The loop also wakes every 10 ms to see `stop`, which any thread may
+/// set; input read after it is ignored.
+///
+/// The reader thread is not joined: a blocking read ends only when its
+/// input does. Close a socket's read half once this returns; a stdin
+/// reader ends with the process.
+///
+/// # Errors
+///
+/// The first write error (the loop stops at once), or a read error
+/// (reported once the pending answers are written).
+pub fn serve_connection<R, W>(
+    input: R,
+    mut out: W,
+    mut mode: AnswerMode,
     router: &ShardRouter,
     fair: &FairShare,
-    traces: &Arc<TraceRegistry>,
     stop: &AtomicBool,
-) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
+) -> std::io::Result<()>
+where
+    R: BufRead + Send + 'static,
+    W: Write,
+{
+    let (events, inbox) = std::sync::mpsc::channel();
+    spawn_reader(input, events.clone());
+    let mut pending = VecDeque::new();
+    let mut number = 0usize;
+    let mut open = true;
+    let mut read_error = None;
+    while open || !pending.is_empty() {
+        if stop.load(Ordering::SeqCst) {
+            open = false;
+        }
+        match inbox.recv_timeout(STOP_TICK) {
+            Ok(Event::Input(Ok(Some(line)))) if open => {
+                number += 1;
+                let answer = match line {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => match parse_line(&line, number) {
+                        Input::Control(verb) => {
+                            Answer::Ready(verb_line(verb, router, fair, &mut mode, stop))
+                        }
+                        Input::Request(parsed) => {
+                            submit(parsed.id, parsed.request, router, fair, &events)
+                        }
+                        Input::Bad { id, error } => Answer::Ready(bad_request_line(id, &error)),
+                    },
+                    Err(_) => Answer::Ready(not_utf8_line(number)),
+                };
+                pending.push_back(answer);
+            }
+            Ok(Event::Input(Ok(None))) => open = false,
+            Ok(Event::Input(Err(err))) => {
+                open = false;
+                read_error = Some(err);
+            }
+            // A completed job, input after a stop, or the stop tick.
+            _ => {}
+        }
+        drain(&mut pending, &mut out, mode)?;
+    }
+    read_error.map_or(Ok(()), Err)
+}
+
+/// Submits one request through admission. An admitted job wakes the
+/// connection loop when it completes; a refused one is answered with a
+/// `rejected` line.
+fn submit(
+    id: Json,
+    request: rei_service::SynthRequest,
+    router: &ShardRouter,
+    fair: &FairShare,
+    events: &Sender<Event>,
+) -> Answer {
+    let reason = match fair.submit(router, request) {
+        Ok((handle, guard)) => {
+            let events = events.clone();
+            handle.on_complete(move || {
+                let _ = events.send(Event::Completed);
+            });
+            return Answer::Job {
+                id,
+                handle,
+                _slot: guard,
+            };
+        }
+        Err(AdmissionError::RateLimited) => "rate_limited",
+        Err(AdmissionError::Service(ServiceError::UnknownSession(_))) => "unknown_session",
+        Err(AdmissionError::Service(_)) => "shutting_down",
     };
-    let (sender, lines) = std::sync::mpsc::channel::<std::io::Result<Result<String, Utf8Error>>>();
-    let reader = std::thread::spawn(move || {
-        let mut input = BufReader::new(read_half);
+    Answer::Ready(rejected_line(id, reason))
+}
+
+/// Starts the detached thread that reads `input` into `events`, one
+/// line per event, until end of input, a read error or a closed channel.
+fn spawn_reader(mut input: impl BufRead + Send + 'static, events: Sender<Event>) {
+    std::thread::spawn(move || {
         let mut buf = Vec::new();
         loop {
-            let line = match read_line(&mut input, &mut buf) {
-                Ok(None) => return,
-                Ok(Some(line)) => Ok(line.map(str::to_owned)),
-                Err(err) => Err(err),
-            };
-            let failed = line.is_err();
-            if sender.send(line).is_err() || failed {
+            let line = read_line(&mut input, &mut buf)
+                .map(|line| line.map(|line| line.map(str::to_owned)));
+            let more = matches!(line, Ok(Some(_)));
+            if events.send(Event::Input(line)).is_err() || !more {
                 return;
             }
         }
     });
-
-    let mut out = stream;
-    let mut pending: Pending = VecDeque::new();
-    let mut mode = AnswerMode::Ordered;
-    let mut number = 0usize;
-    let mut open = true;
-    let result: std::io::Result<()> = (|| {
-        while open || !pending.is_empty() {
-            if open && stop.load(Ordering::SeqCst) {
-                // Server draining: take no further input, answer what is
-                // pending, close. Shutting down the read half unblocks
-                // the reader thread.
-                open = false;
-                let _ = out.shutdown(Shutdown::Read);
-            }
-            match lines.recv_timeout(ANSWER_TICK) {
-                Ok(Ok(line)) => {
-                    number += 1;
-                    let Ok(line) = line else {
-                        emit(&mut out, &not_utf8_line(number))?;
-                        continue;
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_line(&line, number) {
-                        Input::Control(Verb::Ping) => emit(&mut out, &verb_ok_line("ping"))?,
-                        Input::Control(Verb::Hello) => emit(&mut out, &hello_line())?,
-                        Input::Control(
-                            verb @ (Verb::SessionOpen { .. } | Verb::SessionClose { .. }),
-                        ) => {
-                            emit(&mut out, &session_verb_line(router, &verb))?;
-                        }
-                        Input::Control(Verb::Metrics) => {
-                            let mut snapshot = router.metrics();
-                            snapshot.admission = fair.counters();
-                            snapshot.tenants = fair.tenant_counters();
-                            emit(&mut out, &stamped(snapshot.to_json()))?;
-                        }
-                        Input::Control(Verb::Trace(trace)) => {
-                            emit(&mut out, &trace_line(trace, &traces.events(trace)))?;
-                        }
-                        Input::Control(Verb::Prometheus) => {
-                            let mut snapshot = router.metrics();
-                            snapshot.admission = fair.counters();
-                            snapshot.tenants = fair.tenant_counters();
-                            let mut ok = verb_ok_line("prometheus");
-                            ok.set("text", Json::str(snapshot.to_prometheus()));
-                            emit(&mut out, &ok)?;
-                        }
-                        Input::Control(Verb::Mode(new_mode)) => {
-                            mode = new_mode;
-                            let mut ok = verb_ok_line("mode");
-                            ok.set("value", Json::str(mode.as_str()));
-                            emit(&mut out, &ok)?;
-                        }
-                        Input::Control(Verb::Shutdown) => {
-                            emit(&mut out, &verb_ok_line("shutdown"))?;
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        Input::Request(parsed) => match fair.submit(router, parsed.request) {
-                            Ok((handle, guard)) => pending.push_back((parsed.id, handle, guard)),
-                            Err(AdmissionError::RateLimited) => {
-                                emit(&mut out, &rejected_line(parsed.id, "rate_limited"))?;
-                            }
-                            Err(AdmissionError::Service(ServiceError::UnknownSession(_))) => {
-                                emit(&mut out, &rejected_line(parsed.id, "unknown_session"))?;
-                            }
-                            Err(AdmissionError::Service(_)) => {
-                                emit(&mut out, &rejected_line(parsed.id, "shutting_down"))?;
-                            }
-                        },
-                        Input::Bad { id, error } => emit(&mut out, &bad_request_line(id, &error))?,
-                    }
-                }
-                Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => open = false,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            if !drain_completed(&mut pending, &mut out, mode)? && !open && !pending.is_empty() {
-                // Input is done and a disconnected channel returns at
-                // once: without this sleep the final wait would spin.
-                std::thread::sleep(ANSWER_TICK);
-            }
-        }
-        Ok(())
-    })();
-    // A write failure means the client is gone: drop the pending answers
-    // (their guards release the admission slots) and close.
-    drop(result);
-    drop(pending);
-    let _ = out.shutdown(Shutdown::Both);
-    let _ = reader.join();
 }
 
 #[cfg(test)]
@@ -582,7 +628,7 @@ mod tests {
             reader.read_line(&mut line).unwrap();
             Json::parse(line.trim()).unwrap()
         };
-        // Control verbs answer immediately, never queued behind jobs.
+        // With nothing pending, a verb is answered at once.
         client.write_all(b"{\"op\": \"ping\"}\n").unwrap();
         assert_eq!(read_line().get("op").and_then(Json::as_str), Some("ping"));
         // Ordered mode: answers come back in request order.
@@ -624,19 +670,17 @@ mod tests {
         client
             .write_all(request_line("b", "11", "t2").as_bytes())
             .unwrap();
-        // The bad-request is answered as soon as its line is read, so it
-        // may overtake the ordered answers: compare as a map.
-        let mut answers = std::collections::HashMap::new();
-        for _ in 0..3 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let answer = Json::parse(line.trim()).unwrap();
-            let status = answer.get("status").and_then(Json::as_str).unwrap();
-            answers.insert(answer.get("id").unwrap().to_compact(), status.to_string());
-        }
-        assert_eq!(answers["\"a\""], "solved");
-        assert_eq!(answers["2"], "bad-request");
-        assert_eq!(answers["\"b\""], "solved");
+        // The bad-request takes its place between the two answers.
+        let answers: Vec<String> = (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                let answer = Json::parse(line.trim()).unwrap();
+                let status = answer.get("status").and_then(Json::as_str).unwrap();
+                format!("{} {status}", answer.get("id").unwrap().to_compact())
+            })
+            .collect();
+        assert_eq!(answers, ["\"a\" solved", "2 bad-request", "\"b\" solved"]);
         client.write_all(b"{\"op\": \"shutdown\"}\n").unwrap();
         let snapshot = serving.join().unwrap();
         assert_eq!(snapshot.admission.admitted, 2);

@@ -435,6 +435,11 @@ impl FairShare {
         self
     }
 
+    /// The attached trace registry, if any.
+    pub fn traces(&self) -> Option<&TraceRegistry> {
+        self.traces.as_deref()
+    }
+
     /// The policy `tenant` falls under (`None` = the anonymous bucket).
     pub fn policy(&self, tenant: Option<&str>) -> TenantPolicy {
         tenant

@@ -56,11 +56,6 @@ impl Json {
         Json::Number(value.to_string())
     }
 
-    /// A signed integer.
-    pub fn int(value: i64) -> Json {
-        Json::Number(value.to_string())
-    }
-
     /// A float rendered with exactly `decimals` fractional digits.
     /// Non-finite values become `null` (JSON has no NaN/Infinity).
     pub fn fixed(value: f64, decimals: usize) -> Json {

@@ -1,7 +1,7 @@
 //! Requests, responses and handles of the synthesis service.
 
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use rei_core::{ReuseDecision, SynthesisError, SynthesisResult};
@@ -187,7 +187,8 @@ pub struct SynthResponse {
 }
 
 /// The shared completion slot of one job. The worker fills it exactly
-/// once; every handle coalesced onto the job blocks on it.
+/// once; every handle coalesced onto the job blocks on it or registers a
+/// completion callback with it.
 ///
 /// The state also carries the job's *effective deadline*: the most
 /// lenient deadline across every request coalesced onto it. A deadline
@@ -196,9 +197,26 @@ pub struct SynthResponse {
 /// deadline to "none" rather than inheriting the initiator's budget.
 #[derive(Debug)]
 pub(crate) struct JobState {
-    slot: Mutex<Option<Completion>>,
+    slot: Mutex<Slot>,
     done: Condvar,
     deadline: Mutex<DeadlineSlot>,
+}
+
+/// The completion, once there is one, and the callbacks registered
+/// before it (see [`JobHandle::on_complete`]).
+#[derive(Default)]
+struct Slot {
+    completion: Option<Completion>,
+    callbacks: Vec<Box<dyn FnOnce() + Send>>,
+}
+
+impl fmt::Debug for Slot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Slot")
+            .field("completion", &self.completion)
+            .field("callbacks", &self.callbacks.len())
+            .finish()
+    }
 }
 
 /// The effective deadline of a job (see [`JobState`]). `unbounded` wins
@@ -223,7 +241,7 @@ impl JobState {
     /// request's deadline.
     pub fn new(deadline: Option<Instant>) -> Arc<Self> {
         Arc::new(JobState {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot::default()),
             done: Condvar::new(),
             deadline: Mutex::new(DeadlineSlot {
                 unbounded: deadline.is_none(),
@@ -272,18 +290,29 @@ impl JobState {
             .deadline
     }
 
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Stores the completion, wakes every waiter and runs every
+    /// registered callback, on the calling thread.
     pub fn complete(&self, completion: Completion) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(slot.is_none(), "a job completes exactly once");
-        *slot = Some(completion);
-        drop(slot);
+        let callbacks = {
+            let mut slot = self.lock();
+            debug_assert!(slot.completion.is_none(), "a job completes exactly once");
+            slot.completion = Some(completion);
+            std::mem::take(&mut slot.callbacks)
+        };
         self.done.notify_all();
+        for callback in callbacks {
+            callback();
+        }
     }
 
     fn wait(&self) -> Completion {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.lock();
         loop {
-            if let Some(completion) = slot.as_ref() {
+            if let Some(completion) = slot.completion.as_ref() {
                 return completion.clone();
             }
             slot = self.done.wait(slot).unwrap_or_else(|e| e.into_inner());
@@ -291,7 +320,17 @@ impl JobState {
     }
 
     fn try_get(&self) -> Option<Completion> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.lock().completion.clone()
+    }
+
+    fn on_complete(&self, callback: Box<dyn FnOnce() + Send>) {
+        let mut slot = self.lock();
+        if slot.completion.is_none() {
+            slot.callbacks.push(callback);
+            return;
+        }
+        drop(slot);
+        callback();
     }
 }
 
@@ -322,6 +361,14 @@ impl JobHandle {
         self.state.try_get().map(|c| self.response(c))
     }
 
+    /// Runs `callback` once, as soon as the job has completed: at once on
+    /// the calling thread when it already has (a cache hit, say),
+    /// otherwise on the thread that completes it. Keep it short, such as
+    /// a channel send: a worker runs it before taking its next job.
+    pub fn on_complete(&self, callback: impl FnOnce() + Send + 'static) {
+        self.state.on_complete(Box::new(callback));
+    }
+
     /// Where this handle's answer comes from. Known at submission time:
     /// the first request for a spec is [`Fresh`](ResponseSource::Fresh),
     /// later identical ones are coalesced or cache-served.
@@ -346,6 +393,7 @@ impl JobHandle {
 mod tests {
     use super::*;
     use rei_core::SynthesisStats;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn spec() -> Spec {
         Spec::from_strs(["0"], ["1"]).unwrap()
@@ -412,6 +460,79 @@ mod tests {
         let response = waiter.join().unwrap();
         assert_eq!(response.ran, Duration::from_millis(3));
         assert_eq!(response.source, ResponseSource::Fresh);
+    }
+
+    fn handle(state: &Arc<JobState>, source: ResponseSource) -> JobHandle {
+        JobHandle {
+            state: Arc::clone(state),
+            source,
+            submitted: Instant::now(),
+            trace: None,
+        }
+    }
+
+    fn cancelled() -> Completion {
+        Completion {
+            outcome: Err(SynthesisError::Cancelled {
+                stats: SynthesisStats::default(),
+            }),
+            finished: Instant::now(),
+            ran: Duration::ZERO,
+            reuse: None,
+        }
+    }
+
+    /// A callback that counts its calls in the returned counter.
+    fn counting() -> (Arc<AtomicUsize>, impl FnOnce() + Send + 'static) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        (calls, move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    #[test]
+    fn on_complete_fires_once_when_the_job_finishes_later() {
+        let state = JobState::new(None);
+        let (calls, callback) = counting();
+        handle(&state, ResponseSource::Fresh).on_complete(callback);
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "not before completion");
+        let worker = std::thread::spawn({
+            let state = Arc::clone(&state);
+            move || state.complete(cancelled())
+        });
+        worker.join().unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn on_complete_fires_at_registration_for_a_cache_hit() {
+        let state = JobState::completed(Err(SynthesisError::Cancelled {
+            stats: SynthesisStats::default(),
+        }));
+        let (calls, callback) = counting();
+        handle(&state, ResponseSource::Cache).on_complete(callback);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn on_complete_fires_once_per_coalesced_handle() {
+        let state = JobState::new(None);
+        let counters: Vec<_> = [ResponseSource::Fresh, ResponseSource::Coalesced]
+            .into_iter()
+            .map(|source| {
+                let (calls, callback) = counting();
+                handle(&state, source).on_complete(callback);
+                calls
+            })
+            .collect();
+        state.complete(cancelled());
+        // A handle coalescing after completion is answered at once.
+        let (late, callback) = counting();
+        handle(&state, ResponseSource::Coalesced).on_complete(callback);
+        for calls in counters.iter().chain([&late]) {
+            assert_eq!(calls.load(Ordering::SeqCst), 1);
+        }
     }
 
     #[test]

@@ -108,13 +108,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Makes the result cache persistent in exactly the directory `path`
-    /// (see [`with_cache_dir`](ServiceConfig::with_cache_dir)).
-    pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
-        self
-    }
-
     /// Replaces the persistent store's tuning (see [`WalOptions`]).
     pub fn with_wal(mut self, wal: WalOptions) -> Self {
         self.wal = wal;

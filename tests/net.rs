@@ -215,6 +215,42 @@ fn malformed_lines_and_bad_verbs_answer_without_closing() {
     serving.join().unwrap();
 }
 
+#[test]
+fn ordered_mode_answers_every_line_in_input_order() {
+    // A request that outlives its 300 ms deadline, then two lines that
+    // are refused as soon as they are read: in ordered mode the refusals
+    // still wait behind the earlier answer.
+    let (addr, serving) = start_server(AdmissionConfig::new());
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    stream
+        .write_all(
+            b"{\"id\": \"hard\", \"timeout_ms\": 300, \
+              \"pos\": [\"00\", \"1101\", \"0001\", \"0111\", \"001\", \"1\", \"10\", \"1100\", \"111\", \"1010\"], \
+              \"neg\": [\"\", \"0\", \"0000\", \"0011\", \"01\", \"010\", \"011\", \"100\", \"1000\", \"1001\", \"11\", \"1110\"]}\n\
+              not json\n\
+              {\"id\": \"t\", \"pos\": [\"0\"], \"tenant\": 7}\n",
+        )
+        .unwrap();
+    let answers: Vec<String> = (0..3)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let answer = Json::parse(line.trim()).unwrap();
+            let status = answer.get("status").and_then(Json::as_str).unwrap();
+            format!("{} {status}", answer.get("id").unwrap().to_compact())
+        })
+        .collect();
+    assert_eq!(
+        answers,
+        ["\"hard\" cancelled", "2 bad-request", "\"t\" bad-request"]
+    );
+
+    let mut closer = TcpStream::connect(addr).unwrap();
+    closer.write_all(b"{\"op\": \"shutdown\"}\n").unwrap();
+    serving.join().unwrap();
+}
+
 /// Renders `spec` as a request line. `Word`'s display form already uses
 /// the protocol's `ε` spelling for the empty word.
 fn spec_line(id: usize, spec: &Spec, tenant: &str) -> String {
