@@ -2,8 +2,8 @@
 //! plus the speed gates of `reproduce check` ([`run_check`]).
 //!
 //! Every experiment takes a [`HarnessConfig`] and returns plain row
-//! structures; the `reproduce` binary and the Criterion benches only format
-//! and print them. All randomness is seeded, so runs are reproducible.
+//! structures; the `reproduce` binary only formats and prints them. All
+//! randomness is seeded, so runs are reproducible.
 
 mod check;
 mod error_table;
@@ -39,13 +39,13 @@ use serde::{Deserialize, Serialize};
 /// How much work an experiment should do.
 ///
 /// `Quick` keeps every experiment in the range of seconds so that it can
-/// run inside the test suite and Criterion; `Full` approaches the paper's
+/// run inside the test suite; `Full` approaches the paper's
 /// parameters and can take considerably longer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Seconds-scale experiments (default for tests and benches).
+    /// Seconds-scale experiments (default for tests and `reproduce`).
     Quick,
-    /// Paper-scale experiments (use from the `reproduce` binary).
+    /// Paper-scale experiments (`reproduce --full`).
     Full,
 }
 
@@ -65,7 +65,7 @@ pub struct HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// A quick configuration suitable for tests and Criterion benches.
+    /// A quick configuration suitable for tests and `reproduce`.
     pub fn quick() -> Self {
         HarnessConfig {
             scale: Scale::Quick,

@@ -11,8 +11,8 @@
 //! * [`harness`] — functions that regenerate every table and figure of the
 //!   paper's evaluation (Figure 1, Table 1, Table 2, the outlier
 //!   distribution and the allowed-error table of Section 5.2) and return
-//!   the rows as plain data that the `reproduce` binary and the Criterion
-//!   benches print, plus the speed gates `reproduce check` runs.
+//!   the rows as plain data that the `reproduce` binary prints, plus the
+//!   speed gates `reproduce check` runs.
 //!
 //! # Example
 //!

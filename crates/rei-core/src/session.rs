@@ -199,19 +199,7 @@ impl SynthSession {
     /// others (a tripped [`CancelToken`] does — the remaining specs report
     /// [`SynthesisError::Cancelled`] immediately).
     pub fn run_batch(&mut self, specs: &[Spec]) -> Vec<Result<SynthesisResult, SynthesisError>> {
-        self.run_batch_with(specs, &mut NoopObserver)
-    }
-
-    /// Like [`run_batch`](SynthSession::run_batch), with progress events.
-    pub fn run_batch_with(
-        &mut self,
-        specs: &[Spec],
-        observer: &mut dyn Observer,
-    ) -> Vec<Result<SynthesisResult, SynthesisError>> {
-        specs
-            .iter()
-            .map(|spec| self.run_with(spec, observer))
-            .collect()
+        specs.iter().map(|spec| self.run(spec)).collect()
     }
 
     /// Refines the session's own specification chain: like
@@ -225,13 +213,8 @@ impl SynthSession {
     /// [`run`](SynthSession::run) of the same spec would return; only the
     /// work differs, as reported by [`RunOutcome::reuse`].
     pub fn refine(&mut self, spec: &Spec) -> RunOutcome {
-        self.refine_with(spec, &mut NoopObserver)
-    }
-
-    /// Like [`refine`](SynthSession::refine), with progress events.
-    pub fn refine_with(&mut self, spec: &Spec, observer: &mut dyn Observer) -> RunOutcome {
         let mut state = std::mem::take(&mut self.refine_state);
-        let outcome = self.refine_with_state(&mut state, spec, observer);
+        let outcome = self.refine_with_state(&mut state, spec, &mut NoopObserver);
         self.refine_state = state;
         outcome
     }
@@ -593,10 +576,22 @@ mod tests {
         token.cancel();
         let err = session.run(&intro_spec()).unwrap_err();
         assert!(matches!(err, SynthesisError::Cancelled { .. }), "{err:?}");
+        // A batch after the trip: every spec reports `Cancelled` and still
+        // counts as a run.
+        let zeros = Spec::from_strs(["0", "00"], ["", "1"]).unwrap();
+        let batch = session.run_batch(&[intro_spec(), zeros, intro_spec()]);
+        assert_eq!(batch.len(), 3);
+        for slot in &batch {
+            assert!(
+                matches!(slot, Err(SynthesisError::Cancelled { .. })),
+                "{slot:?}"
+            );
+        }
+        assert_eq!(session.stats().runs, 4);
         token.reset();
         assert!(session.run(&intro_spec()).is_ok());
-        assert_eq!(session.stats().runs, 2);
-        assert_eq!(session.stats().failed, 1);
+        assert_eq!(session.stats().runs, 5);
+        assert_eq!(session.stats().failed, 4);
     }
 
     #[test]

@@ -103,16 +103,6 @@ impl Cs {
         }
     }
 
-    /// Builds a sequence from raw blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` does not match `width.blocks()`.
-    pub fn from_blocks(width: CsWidth, blocks: Vec<u64>) -> Self {
-        assert_eq!(blocks.len(), width.blocks(), "block count must match width");
-        Cs { width, blocks }
-    }
-
     /// The geometry of this sequence.
     pub fn width(&self) -> CsWidth {
         self.width
@@ -156,11 +146,6 @@ impl Cs {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// Returns `true` if no bit is set (the empty language).
-    pub fn is_zero(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
     }
 
     /// Iterates over the indices of set bits in ascending order.

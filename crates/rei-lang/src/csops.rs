@@ -180,8 +180,8 @@ fn concat_block(a: u64, b: u64, masks: &GuideMasks) -> u64 {
 }
 
 /// `dst := a · b` computed with the per-word split gather over the pair
-/// table — the seed's sequential kernel, kept as the ablation baseline
-/// for [`concat_into`] (see `crates/bench/benches/micro_ops.rs`).
+/// table — the seed's sequential kernel, kept as the baseline that
+/// `reproduce check`'s kernel gate times [`concat_into`] against.
 ///
 /// # Panics
 ///
@@ -195,32 +195,6 @@ pub fn concat_into_gather(dst: &mut [u64], a: &[u64], b: &[u64], guide: &GuideTa
             .splits(w)
             .iter()
             .any(|&(l, r)| get_bit(a, l as usize) && get_bit(b, r as usize));
-        if hit {
-            set_bit(dst, w);
-        }
-    }
-}
-
-/// `dst := a · b` computed **without** the staged guide table, by
-/// enumerating the splits of every word on the fly.
-///
-/// This exists only as the baseline for the guide-table ablation benchmark
-/// (`crates/bench/benches/ablation.rs`): it recomputes, for every target
-/// word, every split and
-/// two hash look-ups into the closure, which is exactly the work the guide
-/// table pre-computes once per synthesis run.
-pub fn concat_into_unstaged(dst: &mut [u64], a: &[u64], b: &[u64], ic: &crate::InfixClosure) {
-    clear(dst);
-    for (w, word) in ic.iter() {
-        let n = word.len();
-        let hit = (0..=n).any(|cut| {
-            let left = ic.index_of(&word.infix(0, cut));
-            let right = ic.index_of(&word.infix(cut, n));
-            match (left, right) {
-                (Some(l), Some(r)) => get_bit(a, l) && get_bit(b, r),
-                _ => false,
-            }
-        });
         if hit {
             set_bit(dst, w);
         }
@@ -275,9 +249,10 @@ pub fn star_into(
 /// `t_0 = {ε}`, `t_{k+1} = t_k ∪ t_k · a` over the pair table.
 ///
 /// Monotone, reaching the fixed point after at most
-/// `max word length + 1` rounds. Kept as the reference and ablation
-/// baseline for the squaring kernel ([`star_into`]); the property tests
-/// assert both compute identical sequences.
+/// `max word length + 1` rounds. Kept as the reference for the squaring
+/// kernel ([`star_into`]), which the property tests assert computes
+/// identical sequences, and as the baseline `reproduce check`'s kernel
+/// gate times it against.
 ///
 /// # Panics
 ///
@@ -341,6 +316,27 @@ mod tests {
         let gt = GuideTable::build(&ic);
         let gm = GuideMasks::build(&ic);
         (ic, gt, gm)
+    }
+
+    /// `dst := a · b` computed without any staged table, by enumerating the
+    /// splits of every word on the fly: the reference the staged concat
+    /// kernels are checked against.
+    fn concat_into_unstaged(dst: &mut [u64], a: &[u64], b: &[u64], ic: &InfixClosure) {
+        clear(dst);
+        for (w, word) in ic.iter() {
+            let n = word.len();
+            let hit = (0..=n).any(|cut| {
+                let left = ic.index_of(&word.infix(0, cut));
+                let right = ic.index_of(&word.infix(cut, n));
+                match (left, right) {
+                    (Some(l), Some(r)) => get_bit(a, l) && get_bit(b, r),
+                    _ => false,
+                }
+            });
+            if hit {
+                set_bit(dst, w);
+            }
+        }
     }
 
     fn example_spec() -> Spec {

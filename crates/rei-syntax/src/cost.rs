@@ -20,7 +20,6 @@ use std::fmt;
 /// assert_eq!(r.cost(&star_expensive), 13);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostFn {
     /// Cost of `∅`, `ε` and each literal character.
     pub literal: u64,

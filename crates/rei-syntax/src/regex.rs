@@ -35,7 +35,6 @@ use crate::CostFn;
 /// assert!(!r.accepts("0".chars()));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Regex {
     /// The empty language `∅`.
     Empty,
