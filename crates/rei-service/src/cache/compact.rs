@@ -206,7 +206,6 @@ mod tests {
                 roll_bytes: 256,
                 checkpoint_every: 1,
                 disk_cap_bytes: Some(600),
-                ..WalOptions::default()
             },
         );
         let hot = key("0");

@@ -60,9 +60,6 @@ pub struct WalOptions {
     /// Disk byte budget enforced at every fold by evicting
     /// least-recently-hit records first; `None` leaves disk unbounded.
     pub disk_cap_bytes: Option<u64>,
-    /// Threads for parallel segment replay on recovery; `0` uses one per
-    /// available core (capped at the source count).
-    pub recovery_threads: usize,
 }
 
 impl Default for WalOptions {
@@ -71,7 +68,6 @@ impl Default for WalOptions {
             roll_bytes: 1 << 20,
             checkpoint_every: 8,
             disk_cap_bytes: None,
-            recovery_threads: 0,
         }
     }
 }
@@ -372,8 +368,8 @@ impl WalStore {
                 (Manifest::scan(root), false)
             }
         };
-        let (records, mut report) =
-            recovery::replay_sources(root, &manifest, config_wire, options.recovery_threads);
+        // Replay on one thread per core, capped at the source count.
+        let (records, mut report) = recovery::replay_sources(root, &manifest, config_wire, 0);
         if authoritative {
             clean_orphans(root, &manifest);
         }

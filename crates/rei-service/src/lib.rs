@@ -70,15 +70,16 @@
 //! compares, so a *restarted* service answers repeats from disk without
 //! re-running a synthesis. See DESIGN.md "Durability".
 //!
-//! **Sharding.** The [`ShardRouter`] puts N pools — each a full
-//! `SynthService` with its own workers, queue, cache and cache file —
-//! behind one submission front-end and routes each request by its tenant
-//! key ([`SynthRequest::with_tenant`]), falling back to the
-//! specification's stable fingerprint. The key picks a pool through a
-//! consistent-hash [`HashRing`], so pools can
-//! [join](ShardRouter::add_pool) and [leave](ShardRouter::remove_pool)
-//! at runtime while only ~1/N of keys remap. Per-pool metrics roll up
-//! into one cross-pool [`RouterSnapshot`].
+//! **Sharding.** The [`ShardRouter`] puts N identical pools — each a
+//! full `SynthService` with its own workers, queue, cache and cache
+//! file — behind one submission front-end and routes each request by its
+//! tenant key ([`SynthRequest::with_tenant`]), falling back to the
+//! specification's stable fingerprint. The pool count is fixed at
+//! [start](ShardRouter::start). The key picks a pool through a
+//! consistent-hash [`HashRing`], so a restart over the same cache
+//! directory with one pool more moves only ~1/(N+1) of the keys away
+//! from their warm store. Per-pool metrics roll up into one cross-pool
+//! [`RouterSnapshot`].
 //!
 //! **Admission.** A [`FairShare`] stage in front of the router enforces
 //! per-tenant token-bucket rate limits and in-flight caps
@@ -137,7 +138,7 @@ pub use cache::{replay, CacheKey, RecoveryReport, WalOptions, WalStore};
 pub use metrics::MetricsSnapshot;
 pub use request::{JobHandle, ResponseSource, SynthRequest, SynthResponse};
 pub use ring::{HashRing, VNODES};
-pub use router::{PoolConfig, RouterConfig, RouterSnapshot, ShardRouter};
+pub use router::{RouterConfig, RouterSnapshot, ShardRouter};
 pub use service::{
     ServiceConfig, ServiceError, SynthService, DEFAULT_SESSION_CAPACITY, DEFAULT_SESSION_IDLE,
 };

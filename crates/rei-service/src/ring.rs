@@ -1,14 +1,15 @@
 //! The consistent-hash ring behind the shard router.
 //!
-//! `key % N` routing remaps *every* key when a pool joins or leaves: a
-//! topology change cold-starts every shard's persistent cache at once.
-//! The ring instead places `VNODES` virtual points per pool on a 64-bit
-//! circle — each point is the [`rei_lang::fnv1a`] hash of
-//! `"<pool>#<replica>"` — and routes a key to the first point clockwise
-//! of it. Adding a pool to an N-pool ring captures only the key ranges
-//! its own points carve out, ~1/(N+1) of the circle; every other key
-//! keeps its pool, and with it its warm cache. Removing the pool restores
-//! the exact previous assignment (its points leave, nothing else moves).
+//! `key % N` routing remaps most keys when the pool count changes: a
+//! router restarted with one pool more would find most answers in some
+//! other pool's persistent store. The ring instead places `VNODES`
+//! virtual points per pool on a 64-bit circle — each point is the
+//! [`rei_lang::fnv1a`] hash of `"<pool>#<replica>"` — and routes a key to
+//! the first point clockwise of it. Adding a pool to an N-pool ring
+//! captures only the key ranges its own points carve out, ~1/(N+1) of
+//! the circle; every other key keeps its pool, and with it its warm
+//! store. A ring built over the same N pool names again assigns every key
+//! exactly as before.
 //!
 //! Points are derived purely from pool names via FNV-1a, so the
 //! assignment is deterministic across processes — a restarted router
@@ -47,13 +48,20 @@ fn spread(mut x: u64) -> u64 {
 /// ```
 /// use rei_service::HashRing;
 ///
-/// let mut ring = HashRing::new();
-/// ring.add("pool-0");
-/// ring.add("pool-1");
-/// let before = ring.route(rei_lang::fnv1a(b"acme")).unwrap().to_string();
-/// ring.add("pool-2");
-/// ring.remove("pool-2");
-/// assert_eq!(ring.route(rei_lang::fnv1a(b"acme")), Some(before.as_str()));
+/// let mut two = HashRing::new();
+/// two.add("pool-0");
+/// two.add("pool-1");
+/// let mut three = two.clone();
+/// three.add("pool-2");
+/// // A key keeps its pool unless the new pool captures it.
+/// let key = rei_lang::fnv1a(b"acme");
+/// let (was, now) = (two.route(key).unwrap(), three.route(key).unwrap());
+/// assert!(now == was || now == "pool-2");
+/// // The same pool names always build the same ring.
+/// let mut again = HashRing::new();
+/// again.add("pool-1");
+/// again.add("pool-0");
+/// assert_eq!(again, two);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HashRing {
@@ -81,12 +89,6 @@ impl HashRing {
         }
         self.points
             .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    }
-
-    /// Removes `pool`'s virtual points; keys they carried fall through to
-    /// the next point clockwise. Unknown names are a no-op.
-    pub fn remove(&mut self, pool: &str) {
-        self.points.retain(|(_, name)| name != pool);
     }
 
     /// Whether `pool` is on the ring.
@@ -185,10 +187,12 @@ mod tests {
                     "key moved between old pools: {was} -> {now}"
                 );
             }
-            // Removing the joiner restores the original assignment.
-            ring.remove("joiner");
+            // A ring freshly built over the old pools restores the
+            // original assignment: a restart with the old pool count
+            // finds every key where it was.
+            let rebuilt = ring_of(pools);
             for (key, was) in keys.iter().zip(&before) {
-                assert_eq!(ring.route(*key), Some(was.as_str()));
+                assert_eq!(rebuilt.route(*key), Some(was.as_str()));
             }
         }
     }
@@ -202,9 +206,7 @@ mod tests {
         ring.add("only");
         assert_eq!(ring.pools(), 1);
         assert_eq!(ring.route(42), Some("only"));
-        ring.remove("never-added");
-        assert_eq!(ring.pools(), 1);
-        ring.remove("only");
-        assert_eq!(ring.route(42), None);
+        assert!(ring.contains("only"));
+        assert!(!ring.contains("never-added"));
     }
 }

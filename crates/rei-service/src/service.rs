@@ -46,7 +46,7 @@ pub struct ServiceConfig {
     /// keeps the cache in memory only.
     pub cache_path: Option<PathBuf>,
     /// Storage-engine tuning of the persistent cache (segment roll size,
-    /// checkpoint cadence, disk byte cap, recovery threads); ignored
+    /// checkpoint cadence, disk byte cap); ignored
     /// without [`cache_path`](ServiceConfig::cache_path).
     pub wal: WalOptions,
     /// Most refinement sessions held open at once; opening one beyond

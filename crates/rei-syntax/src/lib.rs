@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 mod cost;
-pub mod dfa;
 mod display;
 pub mod enumerate;
 mod error;
@@ -42,7 +41,6 @@ pub mod metrics;
 pub mod nfa;
 mod parse;
 mod regex;
-pub mod simplify;
 
 pub use cost::CostFn;
 pub use error::ParseError;

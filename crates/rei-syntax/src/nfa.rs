@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use crate::Regex;
 
 /// Identifier of an NFA state.
-pub(crate) type StateId = usize;
+type StateId = usize;
 
 /// A transition on a concrete character or on ε.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,22 +67,12 @@ impl Nfa {
 
     /// Returns `true` if the automaton accepts `word`.
     pub fn accepts<I: IntoIterator<Item = char>>(&self, word: I) -> bool {
-        let mut current = self.eps_closure([self.start].into_iter().collect());
+        let mut current = self.start_set();
         for c in word {
-            let mut next = BTreeSet::new();
-            for &state in &current {
-                for t in &self.transitions[state] {
-                    if let Transition::Char(tc, dst) = t {
-                        if *tc == c {
-                            next.insert(*dst);
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
+            current = self.step(&current, c);
+            if current.is_empty() {
                 return false;
             }
-            current = self.eps_closure(next);
         }
         current.contains(&self.accept)
     }
@@ -94,10 +84,7 @@ impl Nfa {
     /// small alphabets only.
     pub fn enumerate_up_to(&self, alphabet: &[char], max_len: usize) -> Vec<String> {
         let mut out = Vec::new();
-        let mut frontier = vec![(
-            String::new(),
-            self.eps_closure([self.start].into_iter().collect()),
-        )];
+        let mut frontier = vec![(String::new(), self.start_set())];
         if frontier[0].1.contains(&self.accept) {
             out.push(String::new());
         }
@@ -105,20 +92,10 @@ impl Nfa {
             let mut next_frontier = Vec::new();
             for (prefix, states) in &frontier {
                 for &c in alphabet {
-                    let mut next = BTreeSet::new();
-                    for &state in states {
-                        for t in &self.transitions[state] {
-                            if let Transition::Char(tc, dst) = t {
-                                if *tc == c {
-                                    next.insert(*dst);
-                                }
-                            }
-                        }
-                    }
-                    if next.is_empty() {
+                    let closure = self.step(states, c);
+                    if closure.is_empty() {
                         continue;
                     }
-                    let closure = self.eps_closure(next);
                     let mut word = prefix.clone();
                     word.push(c);
                     if closure.contains(&self.accept) {
@@ -132,20 +109,13 @@ impl Nfa {
         out
     }
 
-    /// The initial ε-closed state set (used by the subset construction in
-    /// [`crate::dfa`]).
-    pub(crate) fn start_set(&self) -> BTreeSet<StateId> {
+    /// The ε-closed start state set.
+    fn start_set(&self) -> BTreeSet<StateId> {
         self.eps_closure([self.start].into_iter().collect())
     }
 
-    /// Whether a subset-construction state (a set of NFA states) is
-    /// accepting.
-    pub(crate) fn set_accepts(&self, states: &BTreeSet<StateId>) -> bool {
-        states.contains(&self.accept)
-    }
-
     /// One ε-closed transition step of a state set on character `c`.
-    pub(crate) fn step(&self, states: &BTreeSet<StateId>, c: char) -> BTreeSet<StateId> {
+    fn step(&self, states: &BTreeSet<StateId>, c: char) -> BTreeSet<StateId> {
         let mut next = BTreeSet::new();
         for &state in states {
             for t in &self.transitions[state] {

@@ -116,7 +116,7 @@ pub mod prelude {
     pub use rei_net::{install_shutdown_signals, NetConfig, NetServer};
     pub use rei_service::{
         AdmissionConfig, AdmissionCounters, AdmissionError, FairShare, HashRing, JobHandle,
-        MetricsSnapshot, PoolConfig, RecoveryReport, ResponseSource, RouterConfig, RouterSnapshot,
+        MetricsSnapshot, RecoveryReport, ResponseSource, RouterConfig, RouterSnapshot,
         ServiceConfig, ServiceError, ShardRouter, SynthRequest, SynthResponse, SynthService,
         TenantPolicy, WalOptions,
     };

@@ -105,7 +105,6 @@ fn the_disk_cap_bounds_bytes_and_counts_evictions_through_the_service() {
                 roll_bytes: 512,
                 checkpoint_every: 2,
                 disk_cap_bytes: Some(cap),
-                recovery_threads: 0,
             })
     };
     let service = SynthService::start(config()).unwrap();

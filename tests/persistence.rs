@@ -293,5 +293,59 @@ fn sharded_pools_persist_into_separate_stores_and_rewarm() {
     assert_eq!(rollup.cache_hits, 3);
     assert_eq!(rollup.disk_loaded, 3);
     assert_eq!(rollup.workers.iter().map(|w| w.runs).sum::<u64>(), 0);
+
+    // Restarting with one pool more moves only the keys the new pool's
+    // ring points capture. Warm the two stores with more specs first, so
+    // that both outcomes occur.
+    let mut all = specs();
+    all.extend(
+        [
+            "0", "1", "01", "10", "11", "001", "010", "011", "100", "101", "110", "111",
+        ]
+        .iter()
+        .map(|word| Spec::from_strs([*word], []).unwrap()),
+    );
+    let submit_all = |router: &ShardRouter| -> Vec<SynthResponse> {
+        let handles: Vec<JobHandle> = all
+            .iter()
+            .map(|spec| router.submit(SynthRequest::new(spec.clone())).unwrap())
+            .collect();
+        handles.iter().map(JobHandle::wait).collect()
+    };
+    let router = ShardRouter::start(router_config()).unwrap();
+    assert!(submit_all(&router).iter().all(|r| r.outcome.is_ok()));
+    router.shutdown();
+
+    let ring = |pools: usize| {
+        let mut ring = HashRing::new();
+        for index in 0..pools {
+            ring.add(&format!("pool-{index}"));
+        }
+        ring
+    };
+    let (two, three) = (ring(2), ring(3));
+    let router =
+        ShardRouter::start(RouterConfig::identical(3, ServiceConfig::new(1)).with_cache_dir(&dir))
+            .unwrap();
+    let (mut kept, mut moved) = (0, 0);
+    for (spec, response) in all.iter().zip(submit_all(&router)) {
+        let key = ShardRouter::routing_key(&SynthRequest::new(spec.clone()));
+        assert!(response.outcome.is_ok());
+        if three.route(key) == two.route(key) {
+            assert_eq!(response.source, ResponseSource::Cache, "{spec:?}");
+            kept += 1;
+        } else {
+            assert_eq!(
+                three.route(key),
+                Some("pool-2"),
+                "keys move only to the new pool"
+            );
+            assert_eq!(response.source, ResponseSource::Fresh, "{spec:?}");
+            moved += 1;
+        }
+    }
+    assert!(kept > 0 && moved > 0, "kept {kept}, moved {moved}");
+    router.shutdown();
+    assert!(dir.join("pool-2").join("MANIFEST.json").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
