@@ -19,6 +19,9 @@ Flags:
   --all-source S[,S]   every result line's "source" is one of S
   --cost ID=N          the given id's "cost" (repeatable)
   --source ID=S[,S]    the given id's "source" is one of S (repeatable)
+  --status ID=S[,S]    the given id's "status" is one of S — e.g.
+                       cancelled for a request whose timeout_ms ran out
+                       mid-run (repeatable)
   --reuse ID=L[,L]     the given id's "reuse" label is one of L — refine
                        answers report unchanged/warm/cold (repeatable)
   --proto N            every line (results, verb acks, metrics) carries
@@ -57,6 +60,7 @@ def parse_args():
     parser.add_argument("--all-source")
     parser.add_argument("--cost", action="append", default=[])
     parser.add_argument("--source", action="append", default=[])
+    parser.add_argument("--status", action="append", default=[])
     parser.add_argument("--reuse", action="append", default=[])
     parser.add_argument("--proto", type=int)
     parser.add_argument("--ops")
@@ -132,6 +136,11 @@ def main():
         allowed = set(value.split(","))
         actual = by_id[key].get("source")
         assert actual in allowed, f"id {key}: source {actual} not in {sorted(allowed)}"
+    for raw in args.status:
+        key, value = split_pair(raw, "--status")
+        allowed = set(value.split(","))
+        actual = by_id[key].get("status")
+        assert actual in allowed, f"id {key}: status {actual} not in {sorted(allowed)}"
     for raw in args.reuse:
         key, value = split_pair(raw, "--reuse")
         allowed = set(value.split(","))

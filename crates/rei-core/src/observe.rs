@@ -4,11 +4,12 @@
 //! [`Observer`]: one [`LevelStats`] event per completed cost level, in
 //! strictly increasing cost order, plus start/finish notifications. The
 //! search also polls a [`CancelToken`] between batches and between levels,
-//! so a long run can be stopped cooperatively from another thread without
-//! tearing down warm session state.
+//! so a long run can be stopped cooperatively — from another thread, or by
+//! a deadline set on the token — without tearing down warm session state.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use rei_lang::Spec;
 
@@ -57,19 +58,25 @@ impl Observer for LevelLog {
 }
 
 /// A cooperative cancellation flag shared between a running synthesis and
-/// other threads.
+/// other threads, optionally armed with a deadline.
 ///
-/// Cloning a token yields a handle to the *same* flag (it is an [`Arc`]
-/// around an atomic). The search polls the token between kernel batches and
-/// between cost levels; once tripped, the run fails with
-/// [`SynthesisError::Cancelled`] and the flag stays set until [`reset`]
-/// (so a batch of runs sharing the token all stop).
+/// Cloning a token yields a handle to the *same* state (it is an [`Arc`]).
+/// The search polls the token between kernel batches and between cost
+/// levels; once tripped — by [`cancel`] or by reaching the instant set
+/// with [`cancel_at`] — the run fails with [`SynthesisError::Cancelled`],
+/// and the token stays tripped until [`reset`] (so a batch of runs sharing
+/// the token all stop).
 ///
 /// [`SynthesisError::Cancelled`]: crate::SynthesisError::Cancelled
+/// [`cancel`]: CancelToken::cancel
+/// [`cancel_at`]: CancelToken::cancel_at
 /// [`reset`]: CancelToken::reset
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    /// Read once per poll, i.e. per level chunk, never per row, so an
+    /// uncontended lock is cheap enough.
+    deadline: Arc<Mutex<Option<Instant>>>,
 }
 
 impl CancelToken {
@@ -83,20 +90,33 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether the token has been tripped.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+    /// Makes the token read as tripped once `deadline` has passed; `None`
+    /// removes a deadline set earlier.
+    pub fn cancel_at(&self, deadline: Option<Instant>) {
+        *self.deadline() = deadline;
     }
 
-    /// Clears the token so the owning session can run again.
+    /// Whether the token has been tripped or its deadline has passed.
+    pub fn is_cancelled(&self) -> bool {
+        self.flag.load(Ordering::Acquire) || self.deadline().is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// Clears the flag and the deadline so the owning session can run
+    /// again.
     pub fn reset(&self) {
+        *self.deadline() = None;
         self.flag.store(false, Ordering::Release);
+    }
+
+    fn deadline(&self) -> MutexGuard<'_, Option<Instant>> {
+        self.deadline.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn token_trips_across_clones_and_resets() {
@@ -106,6 +126,21 @@ mod tests {
         other.cancel();
         assert!(token.is_cancelled());
         token.reset();
+        assert!(!other.is_cancelled());
+
+        // A future deadline does not trip the token; a past one trips
+        // every clone.
+        other.cancel_at(Some(Instant::now() + Duration::from_secs(60)));
+        assert!(!token.is_cancelled());
+        assert!(!other.is_cancelled());
+        token.cancel_at(Some(Instant::now() - Duration::from_millis(1)));
+        assert!(token.is_cancelled());
+        assert!(other.is_cancelled());
+
+        // `reset` clears the flag and the deadline together.
+        token.cancel();
+        other.reset();
+        assert!(!token.is_cancelled());
         assert!(!other.is_cancelled());
     }
 

@@ -148,10 +148,10 @@ impl SynthSession {
     }
 
     /// A handle to this session's cancellation flag. Cloning is cheap;
-    /// trip it from any thread with [`CancelToken::cancel`] and the
-    /// in-flight run stops at the next level boundary with
-    /// [`SynthesisError::Cancelled`]. The flag stays set (subsequent runs
-    /// fail fast) until [`CancelToken::reset`].
+    /// trip it from any thread with [`CancelToken::cancel`], or arm it
+    /// with [`CancelToken::cancel_at`], and the in-flight run stops at the
+    /// next poll point with [`SynthesisError::Cancelled`]. The token stays
+    /// tripped (subsequent runs fail fast) until [`CancelToken::reset`].
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -592,6 +592,21 @@ mod tests {
         assert!(session.run(&intro_spec()).is_ok());
         assert_eq!(session.stats().runs, 5);
         assert_eq!(session.stats().failed, 4);
+    }
+
+    #[test]
+    fn past_token_deadline_fails_fast_until_reset() {
+        let mut session = SynthSession::new(SynthConfig::default()).unwrap();
+        let token = session.cancel_token();
+        token.cancel_at(Some(Instant::now() - Duration::from_millis(1)));
+        // Fast: the run fails before it constructs a single candidate.
+        let err = session.run(&intro_spec()).unwrap_err();
+        assert!(
+            matches!(&err, SynthesisError::Cancelled { stats } if stats.candidates_generated == 0),
+            "{err:?}"
+        );
+        token.reset();
+        assert_eq!(session.run(&intro_spec()).unwrap().cost, 8);
     }
 
     #[test]

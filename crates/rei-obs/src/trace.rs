@@ -12,6 +12,10 @@
 //!     level(cost, wall, candidates)* → cache-append → answered
 //! ```
 //!
+//! A job cancelled by its request deadline records
+//! `deadline(overshoot_us)` — how long after the deadline it completed —
+//! in place of `cache-append`.
+//!
 //! When the registry was given an SLO threshold, [`Trace::finish`]
 //! dumps the full timeline of any request whose end-to-end latency
 //! reached the threshold to the structured log ([`crate::log`], level

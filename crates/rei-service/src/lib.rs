@@ -14,25 +14,29 @@
 //!                       └───────┬─────────┘────────► JobHandle (shared)
 //!                          miss │ reserve
 //!                               ▼
-//!                   ┌───────────────────────┐     deadline reached
-//!                   │  bounded job queue    │   ┌──────────────────┐
-//!                   │  priority ▸ FIFO      │   │ deadline watchdog│
-//!                   └───┬───────┬───────┬───┘   └────────┬─────────┘
-//!                       ▼       ▼       ▼                │ CancelToken
-//!                   worker 0 worker 1 … worker N ◄───────┘
+//!                   ┌───────────────────────┐
+//!                   │  bounded job queue    │
+//!                   │  priority ▸ FIFO      │
+//!                   └───┬───────┬───────┬───┘
+//!                       ▼       ▼       ▼
+//!                   worker 0 worker 1 … worker N
 //!                   (one warm SynthSession — and one
 //!                    gpu_sim::Device on the device-parallel
-//!                    backend — per worker)
+//!                    backend — per worker; a job's deadline
+//!                    rides on the session's CancelToken)
 //! ```
 //!
 //! **Scheduling.** Jobs queue with a per-request priority (higher first,
 //! FIFO within a priority) and an optional deadline. A job whose deadline
 //! passes while it is still queued fails fast with
 //! [`SynthesisError::Cancelled`](rei_core::SynthesisError::Cancelled)
-//! instead of occupying a worker; a job already running when its deadline
-//! fires is cancelled *cooperatively* — the watchdog trips the worker
-//! session's [`CancelToken`](rei_core::CancelToken), and the search stops
-//! at its next poll point, exactly as a caller-side cancellation would.
+//! instead of occupying a worker. A job that starts runs with its deadline
+//! set on the worker session's own [`CancelToken`](rei_core::CancelToken)
+//! ([`cancel_at`](rei_core::CancelToken::cancel_at)): the token reads as
+//! tripped once the deadline passes, the search stops at its next poll
+//! point exactly as a caller-side cancellation would, and the worker
+//! resets the token before its next job. A traced job that misses its
+//! deadline records a `deadline` event with the overshoot.
 //!
 //! **Backpressure.** The queue is bounded. [`SynthService::submit`]
 //! blocks while the queue is at capacity — producers slow down to the

@@ -278,11 +278,11 @@ impl JobState {
         }
     }
 
-    /// The effective deadline at this moment. The worker samples it when
-    /// the job is dequeued and once more before arming the watchdog;
-    /// requests coalescing *after* the run started cannot relax the
-    /// already-armed cancellation (they simply share its outcome, and a
-    /// deadline failure is never cached, so a retry runs fresh).
+    /// The effective deadline at this moment. The worker samples it once,
+    /// when the run starts, and sets it on its session's cancel token;
+    /// requests coalescing *after* that cannot relax the run's deadline
+    /// (they simply share its outcome, and a deadline failure is never
+    /// cached, so a retry runs fresh).
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
             .lock()

@@ -137,7 +137,7 @@ impl std::fmt::Debug for ShardRouter {
 }
 
 impl ShardRouter {
-    /// Starts every pool (workers, watchdogs, persistent cache warm-up).
+    /// Starts every pool (workers, persistent cache warm-up).
     ///
     /// # Errors
     ///

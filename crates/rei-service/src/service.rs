@@ -1,14 +1,14 @@
 //! The synthesis service: worker pool, scheduling and shutdown.
 //!
 //! See the crate docs for the architecture diagram. This module owns the
-//! glue: `submit` runs the cache/coalesce/enqueue decision, workers drain
-//! the queue through warm [`SynthSession`]s, and the deadline watchdog
-//! maps per-job deadlines onto each worker session's [`CancelToken`].
+//! glue: `submit` runs the cache/coalesce/enqueue decision, and workers
+//! drain the queue through warm [`SynthSession`]s, setting each job's
+//! deadline on the worker session's own [`CancelToken`].
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -219,15 +219,6 @@ enum JobKind {
     Refine { session: Arc<SessionEntry> },
 }
 
-impl Job {
-    fn cache_key(&self) -> Option<&CacheKey> {
-        match &self.kind {
-            JobKind::Fresh { key } => Some(key),
-            JobKind::Refine { .. } => None,
-        }
-    }
-}
-
 /// The worker-side [`Observer`] feeding per-level progress into a job's
 /// trace timeline. Wall-clock per level is tracked here — the core's
 /// [`LevelStats`] carries counters only.
@@ -268,106 +259,10 @@ impl Observer for TraceObserver<'_> {
     }
 }
 
-/// One armed deadline: when it fires, the owning worker's cancel token
-/// trips. `armed` arbitrates the race between the watchdog firing and the
-/// worker finishing: whoever swaps it to `false` first acts.
-struct DeadlineEntry {
-    deadline: Instant,
-    token: CancelToken,
-    armed: AtomicBool,
-}
-
-#[derive(Default)]
-struct WatchState {
-    entries: Vec<Arc<DeadlineEntry>>,
-    shutdown: bool,
-}
-
-/// The deadline watchdog: one thread that sleeps until the earliest armed
-/// deadline and trips the corresponding worker's [`CancelToken`], turning
-/// deadline expiry into the search's existing cooperative cancellation.
-#[derive(Default)]
-struct Watchdog {
-    state: Mutex<WatchState>,
-    alarm: Condvar,
-}
-
-impl Watchdog {
-    fn lock(&self) -> std::sync::MutexGuard<'_, WatchState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers a deadline for the run about to start on `token`.
-    fn arm(&self, deadline: Instant, token: CancelToken) -> Arc<DeadlineEntry> {
-        let entry = Arc::new(DeadlineEntry {
-            deadline,
-            token,
-            armed: AtomicBool::new(true),
-        });
-        self.lock().entries.push(Arc::clone(&entry));
-        self.alarm.notify_one();
-        entry
-    }
-
-    /// Worker-side disarm after the run finished. If the watchdog won the
-    /// race and is about to (or already did) trip the token, waits for the
-    /// cancellation to land so the reset below cannot be overtaken and
-    /// leak into the worker's next job.
-    fn disarm(entry: &DeadlineEntry, token: &CancelToken) {
-        if !entry.armed.swap(false, Ordering::AcqRel) {
-            while !token.is_cancelled() {
-                std::thread::yield_now();
-            }
-        }
-        token.reset();
-    }
-
-    fn run(&self) {
-        let mut state = self.lock();
-        loop {
-            let now = Instant::now();
-            // Fire expired entries; keep still-armed future ones.
-            let mut next: Option<Instant> = None;
-            state.entries.retain(|entry| {
-                if !entry.armed.load(Ordering::Acquire) {
-                    return false;
-                }
-                if entry.deadline <= now {
-                    if entry.armed.swap(false, Ordering::AcqRel) {
-                        entry.token.cancel();
-                    }
-                    return false;
-                }
-                next = Some(next.map_or(entry.deadline, |n| n.min(entry.deadline)));
-                true
-            });
-            if state.shutdown {
-                return;
-            }
-            state = match next {
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    self.alarm
-                        .wait_timeout(state, timeout)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-                None => self.alarm.wait(state).unwrap_or_else(|e| e.into_inner()),
-            };
-        }
-    }
-
-    fn shutdown(&self) {
-        self.lock().shutdown = true;
-        self.alarm.notify_all();
-    }
-}
-
 struct Shared {
     queue: JobQueue<Job>,
     cache: ResultCache,
     metrics: Metrics,
-    watchdog: Watchdog,
     synth: SynthConfig,
     sessions: SessionTable,
 }
@@ -395,7 +290,6 @@ struct Shared {
 pub struct SynthService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
     janitor: Option<Janitor>,
 }
 
@@ -409,7 +303,7 @@ impl fmt::Debug for SynthService {
 }
 
 impl SynthService {
-    /// Starts the worker pool and the deadline watchdog.
+    /// Starts the worker pool (and, for a persistent cache, its janitor).
     ///
     /// # Errors
     ///
@@ -468,17 +362,9 @@ impl SynthService {
             queue: JobQueue::new(config.queue_capacity),
             cache,
             metrics,
-            watchdog: Watchdog::default(),
             synth: config.synth.clone(),
             sessions: SessionTable::new(config.session_capacity, config.session_idle),
         });
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("rei-service-watchdog".into())
-                .spawn(move || shared.watchdog.run())
-                .expect("spawning the watchdog thread")
-        };
         let workers = (0..config.workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
@@ -499,7 +385,6 @@ impl SynthService {
         Ok(SynthService {
             shared,
             workers,
-            watchdog: Some(watchdog),
             janitor,
         })
     }
@@ -521,6 +406,12 @@ impl SynthService {
         self.submit_inner(request, true)
     }
 
+    /// The one submission path. A refine looks its session up; any other
+    /// request is answered from the cache, coalesced onto an in-flight
+    /// job, or reserved in the cache as a miss. Refines and misses then
+    /// share one enqueue. Refinements bypass the result cache and
+    /// coalescing — their answer depends on the session's history, not
+    /// just the specification — so every refine consumes a queue slot.
     fn submit_inner(
         &self,
         request: SynthRequest,
@@ -534,110 +425,63 @@ impl SynthService {
         }
         Metrics::bump(&shared.metrics.submitted);
         let submitted = Instant::now();
-        if request.session.is_some() {
-            return self.submit_refine(request, fail_fast, submitted);
-        }
-        let key = CacheKey::new(&request.spec, &shared.synth);
         let state = JobState::new(request.deadline);
-        match shared.cache.lookup_or_reserve(&key, &state) {
-            Lookup::Hit(result) => {
-                Metrics::bump(&shared.metrics.cache_hits);
-                if let Some(trace) = request.trace.as_ref() {
-                    trace.record("cache-hit", String::new());
-                }
-                shared.metrics.note_e2e(submitted.elapsed());
-                Ok(JobHandle {
-                    state: JobState::completed(Ok(result)),
-                    source: ResponseSource::Cache,
-                    submitted,
-                    trace: request.trace,
-                })
-            }
-            Lookup::Coalesce(in_flight) => {
-                Metrics::bump(&shared.metrics.coalesced);
-                if let Some(trace) = request.trace.as_ref() {
-                    trace.record("coalesced", String::new());
-                }
-                // The job serves this request too, so its effective
-                // deadline must be at least as lenient as this request's.
-                in_flight.relax_deadline(request.deadline);
-                Ok(JobHandle {
-                    state: in_flight,
-                    source: ResponseSource::Coalesced,
-                    submitted,
-                    trace: request.trace,
-                })
-            }
-            Lookup::Miss => {
-                let job = Job {
-                    spec: request.spec,
-                    kind: JobKind::Fresh { key: key.clone() },
-                    state: Arc::clone(&state),
-                    submitted,
-                    trace: request.trace.clone(),
-                };
-                let pushed = if fail_fast {
-                    shared.queue.try_push(request.priority, job)
-                } else {
-                    shared.queue.push(request.priority, job)
-                };
-                if pushed.is_err() {
-                    // Roll back so the key is not stuck in flight forever.
-                    shared.cache.forget(&key, &state);
-                    Metrics::bump(&shared.metrics.rejected);
-                    // `submitted` was optimistic; it never became a job.
+        let kind = match &request.session {
+            Some(name) => {
+                let (entry, effects) = shared.sessions.get(name);
+                shared.metrics.note_session_table(effects);
+                // A session belongs to the tenant that opened it: a lookup
+                // under any other tenant key reads as "no such session"
+                // rather than leaking another tenant's retained state.
+                let entry =
+                    entry.filter(|entry| entry.tenant.as_deref() == request.tenant.as_deref());
+                let Some(entry) = entry else {
+                    // The submission never became a job; undo the bump.
                     shared.metrics.submitted.fetch_sub(1, Ordering::Relaxed);
-                    return Err(if shared.queue.is_closed() {
-                        Metrics::bump(&shared.metrics.rejected_shutdown);
-                        ServiceError::ShuttingDown
-                    } else {
-                        Metrics::bump(&shared.metrics.rejected_queue_full);
-                        ServiceError::QueueFull
-                    });
-                }
-                Metrics::bump(&shared.metrics.enqueued);
-                if let Some(trace) = request.trace.as_ref() {
-                    trace.record("enqueued", String::new());
-                }
-                Ok(JobHandle {
-                    state,
-                    source: ResponseSource::Fresh,
-                    submitted,
-                    trace: request.trace,
-                })
+                    return Err(ServiceError::UnknownSession(name.clone()));
+                };
+                JobKind::Refine { session: entry }
             }
-        }
-    }
-
-    /// The refine path of [`submit_inner`](SynthService::submit_inner):
-    /// looks the named session up and enqueues a [`JobKind::Refine`] job.
-    /// Refinements bypass the result cache and coalescing — their answer
-    /// depends on the session's history, not just the specification — so
-    /// every refine consumes a queue slot.
-    fn submit_refine(
-        &self,
-        request: SynthRequest,
-        fail_fast: bool,
-        submitted: Instant,
-    ) -> Result<JobHandle, ServiceError> {
-        let shared = &self.shared;
-        let name = request.session.clone().expect("checked by the caller");
-        let (entry, effects) = shared.sessions.get(&name);
-        shared.metrics.note_session_table(effects);
-        // A session belongs to the tenant that opened it: a lookup under
-        // any other tenant key reads as "no such session" rather than
-        // leaking another tenant's retained state.
-        let entry = entry.filter(|entry| entry.tenant.as_deref() == request.tenant.as_deref());
-        let Some(entry) = entry else {
-            // The submission never became a job; undo the optimistic bump.
-            shared.metrics.submitted.fetch_sub(1, Ordering::Relaxed);
-            return Err(ServiceError::UnknownSession(name));
+            None => {
+                let key = CacheKey::new(&request.spec, &shared.synth);
+                match shared.cache.lookup_or_reserve(&key, &state) {
+                    Lookup::Hit(result) => {
+                        Metrics::bump(&shared.metrics.cache_hits);
+                        if let Some(trace) = request.trace.as_ref() {
+                            trace.record("cache-hit", String::new());
+                        }
+                        shared.metrics.note_e2e(submitted.elapsed());
+                        return Ok(JobHandle {
+                            state: JobState::completed(Ok(result)),
+                            source: ResponseSource::Cache,
+                            submitted,
+                            trace: request.trace,
+                        });
+                    }
+                    Lookup::Coalesce(in_flight) => {
+                        Metrics::bump(&shared.metrics.coalesced);
+                        if let Some(trace) = request.trace.as_ref() {
+                            trace.record("coalesced", String::new());
+                        }
+                        // The job serves this request too, so its effective
+                        // deadline must be at least as lenient as this
+                        // request's.
+                        in_flight.relax_deadline(request.deadline);
+                        return Ok(JobHandle {
+                            state: in_flight,
+                            source: ResponseSource::Coalesced,
+                            submitted,
+                            trace: request.trace,
+                        });
+                    }
+                    Lookup::Miss => JobKind::Fresh { key },
+                }
+            }
         };
-        Metrics::bump(&shared.metrics.refines);
-        let state = JobState::new(request.deadline);
+
         let job = Job {
             spec: request.spec,
-            kind: JobKind::Refine { session: entry },
+            kind,
             state: Arc::clone(&state),
             submitted,
             trace: request.trace.clone(),
@@ -647,10 +491,14 @@ impl SynthService {
         } else {
             shared.queue.push(request.priority, job)
         };
-        if pushed.is_err() {
+        if let Err(job) = pushed {
+            if let JobKind::Fresh { key } = &job.kind {
+                // Roll back so the key is not stuck in flight forever.
+                shared.cache.forget(key, &state);
+            }
             Metrics::bump(&shared.metrics.rejected);
+            // `submitted` was optimistic; it never became a job.
             shared.metrics.submitted.fetch_sub(1, Ordering::Relaxed);
-            shared.metrics.refines.fetch_sub(1, Ordering::Relaxed);
             return Err(if shared.queue.is_closed() {
                 Metrics::bump(&shared.metrics.rejected_shutdown);
                 ServiceError::ShuttingDown
@@ -660,12 +508,24 @@ impl SynthService {
             });
         }
         Metrics::bump(&shared.metrics.enqueued);
-        if let Some(trace) = request.trace.as_ref() {
-            trace.record("refine-enqueued", format!("session={name}"));
-        }
+        let source = match &request.session {
+            Some(name) => {
+                Metrics::bump(&shared.metrics.refines);
+                if let Some(trace) = request.trace.as_ref() {
+                    trace.record("refine-enqueued", format!("session={name}"));
+                }
+                ResponseSource::Session
+            }
+            None => {
+                if let Some(trace) = request.trace.as_ref() {
+                    trace.record("enqueued", String::new());
+                }
+                ResponseSource::Fresh
+            }
+        };
         Ok(JobHandle {
             state,
-            source: ResponseSource::Session,
+            source,
             submitted,
             trace: request.trace,
         })
@@ -760,10 +620,6 @@ impl SynthService {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.shared.watchdog.shutdown();
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
-        }
         // Stop background folds before the final one: compaction must
         // not race itself.
         if let Some(mut janitor) = self.janitor.take() {
@@ -788,32 +644,28 @@ fn worker_loop(shared: &Shared, index: usize) {
         SynthSession::new(shared.synth.clone()).expect("service config was validated at start");
     let token = session.cancel_token();
     while let Some(job) = shared.queue.pop() {
-        match job.kind {
-            JobKind::Refine { .. } => run_refine(shared, index, &mut session, &token, job),
-            JobKind::Fresh { .. } => run_single(shared, index, &mut session, &token, job),
-        }
+        run_job(shared, index, &mut session, &token, job);
     }
 }
 
-/// The refine path: one job, run through the session entry's shared
-/// [`RefineState`](rei_core::RefineState) on this worker's warm
-/// `SynthSession`. Deadlines map onto the worker token exactly like the
-/// single path; the result cache is bypassed in both directions.
-fn run_refine(
+/// Runs one dequeued job on this worker's warm session: a fresh job as
+/// one level sweep published to the result cache, a refine through the
+/// session entry's shared [`RefineState`](rei_core::RefineState),
+/// bypassing the cache in both directions. The job's deadline rides on
+/// the worker session's own cancel token for the length of the run.
+fn run_job(
     shared: &Shared,
     index: usize,
     session: &mut SynthSession,
     token: &CancelToken,
     job: Job,
 ) {
-    let JobKind::Refine { session: entry } = &job.kind else {
-        unreachable!("run_refine only receives refine jobs");
-    };
-    let waited = job.submitted.elapsed();
-    shared.metrics.note_wait(waited);
+    shared.metrics.note_wait(job.submitted.elapsed());
 
-    let expired_in_queue = job.state.deadline().is_some_and(|d| Instant::now() >= d);
+    let deadline = job.state.deadline();
+    let expired_in_queue = deadline.is_some_and(|d| Instant::now() >= d);
     let (outcome, reuse, ran) = if expired_in_queue {
+        // Fail fast: an overdue job must not occupy the worker.
         (
             Err(SynthesisError::Cancelled {
                 stats: SynthesisStats::default(),
@@ -822,105 +674,68 @@ fn run_refine(
             Duration::ZERO,
         )
     } else {
-        let watchdog_entry = job
-            .state
-            .deadline()
-            .map(|deadline| shared.watchdog.arm(deadline, token.clone()));
+        token.cancel_at(deadline);
         let started = Instant::now();
         let mut observer = TraceObserver::new(job.trace.as_ref());
-        let mut state = entry.state.lock().unwrap_or_else(|e| e.into_inner());
-        let result = session.refine_with_state(&mut state, &job.spec, &mut observer);
-        drop(state);
+        let (outcome, reuse) = match &job.kind {
+            JobKind::Fresh { .. } => (session.run_with(&job.spec, &mut observer), None),
+            JobKind::Refine { session: entry } => {
+                let mut state = entry.state.lock().unwrap_or_else(|e| e.into_inner());
+                let result = session.refine_with_state(&mut state, &job.spec, &mut observer);
+                (result.outcome, Some(result.reuse))
+            }
+        };
         let ran = started.elapsed();
-        if let Some(watchdog_entry) = watchdog_entry {
-            Watchdog::disarm(&watchdog_entry, token);
-        }
-        (result.outcome, Some(result.reuse), ran)
+        token.reset();
+        (outcome, reuse, ran)
     };
     shared.metrics.note_run(ran);
 
-    match reuse {
-        Some(ReuseDecision::Unchanged) => Metrics::bump(&shared.metrics.refine_unchanged),
-        Some(ReuseDecision::Warm { .. }) => Metrics::bump(&shared.metrics.refine_warm),
-        Some(ReuseDecision::Cold(_)) => Metrics::bump(&shared.metrics.refine_cold),
-        None => {}
+    match &job.kind {
+        JobKind::Fresh { key } => match &outcome {
+            Ok(result) => {
+                shared.cache.complete(key, result);
+                if let Some(trace) = job.trace.as_ref() {
+                    trace.record("cache-append", String::new());
+                }
+            }
+            Err(_) => shared.cache.forget(key, &job.state),
+        },
+        JobKind::Refine { session: entry } => {
+            if let Some(reuse) = reuse {
+                let counter = match reuse {
+                    ReuseDecision::Unchanged => &shared.metrics.refine_unchanged,
+                    ReuseDecision::Warm { .. } => &shared.metrics.refine_warm,
+                    ReuseDecision::Cold(_) => &shared.metrics.refine_cold,
+                };
+                Metrics::bump(counter);
+                if let Some(trace) = job.trace.as_ref() {
+                    trace.record(
+                        "refine",
+                        format!("session={} reuse={}", entry.name, reuse.label()),
+                    );
+                }
+            }
+        }
     }
-    if let Some(trace) = job.trace.as_ref() {
-        if let Some(reuse) = reuse {
+    shared.metrics.note_job(&outcome, expired_in_queue);
+    shared.metrics.note_e2e(job.submitted.elapsed());
+    shared.metrics.set_worker_stats(index, *session.stats());
+    let finished = Instant::now();
+    if let (Some(deadline), Err(SynthesisError::Cancelled { .. })) = (deadline, &outcome) {
+        if let Some(trace) = job.trace.as_ref() {
+            let overshoot = finished.saturating_duration_since(deadline);
             trace.record(
-                "refine",
-                format!("session={} reuse={}", entry.name, reuse.label()),
+                "deadline",
+                format!("overshoot_us={}", overshoot.as_micros()),
             );
         }
     }
-    shared.metrics.note_job(&outcome, expired_in_queue);
-    shared.metrics.note_e2e(job.submitted.elapsed());
-    shared.metrics.set_worker_stats(index, *session.stats());
     job.state.complete(Completion {
         outcome,
-        finished: Instant::now(),
+        finished,
         ran,
         reuse,
-    });
-}
-
-/// The classic path: one job, one level sweep, deadline mapped onto the
-/// worker session's own cancel token.
-fn run_single(
-    shared: &Shared,
-    index: usize,
-    session: &mut SynthSession,
-    token: &CancelToken,
-    job: Job,
-) {
-    let waited = job.submitted.elapsed();
-    shared.metrics.note_wait(waited);
-
-    let expired_in_queue = job.state.deadline().is_some_and(|d| Instant::now() >= d);
-    let (outcome, ran) = if expired_in_queue {
-        // Fail fast: an overdue job must not occupy the worker.
-        (
-            Err(SynthesisError::Cancelled {
-                stats: SynthesisStats::default(),
-            }),
-            Duration::ZERO,
-        )
-    } else {
-        // Re-sample: a coalescer may have relaxed the deadline since
-        // the expiry check above.
-        let entry = job
-            .state
-            .deadline()
-            .map(|deadline| shared.watchdog.arm(deadline, token.clone()));
-        let started = Instant::now();
-        let mut observer = TraceObserver::new(job.trace.as_ref());
-        let outcome = session.run_with(&job.spec, &mut observer);
-        let ran = started.elapsed();
-        if let Some(entry) = entry {
-            Watchdog::disarm(&entry, token);
-        }
-        (outcome, ran)
-    };
-    shared.metrics.note_run(ran);
-
-    let key = job.cache_key().expect("single jobs are fresh");
-    match &outcome {
-        Ok(result) => {
-            shared.cache.complete(key, result);
-            if let Some(trace) = job.trace.as_ref() {
-                trace.record("cache-append", String::new());
-            }
-        }
-        Err(_) => shared.cache.forget(key, &job.state),
-    }
-    shared.metrics.note_job(&outcome, expired_in_queue);
-    shared.metrics.note_e2e(job.submitted.elapsed());
-    shared.metrics.set_worker_stats(index, *session.stats());
-    job.state.complete(Completion {
-        outcome,
-        finished: Instant::now(),
-        ran,
-        reuse: None,
     });
 }
 
@@ -1116,49 +931,5 @@ mod tests {
         let metrics = service.shutdown();
         assert_eq!(metrics.sessions_expired, 1);
         assert_eq!(metrics.sessions_live, 0);
-    }
-
-    #[test]
-    fn watchdog_disarm_waits_out_the_race() {
-        let watchdog = Watchdog::default();
-        let token = CancelToken::new();
-        let entry = watchdog.arm(Instant::now() + Duration::from_secs(60), token.clone());
-        // Simulate the watchdog winning the race: it swapped `armed` and
-        // is about to cancel from another thread.
-        assert!(entry.armed.swap(false, Ordering::AcqRel));
-        let firing = std::thread::spawn({
-            let token = token.clone();
-            move || {
-                std::thread::sleep(Duration::from_millis(10));
-                token.cancel();
-            }
-        });
-        Watchdog::disarm(&entry, &token);
-        firing.join().unwrap();
-        // disarm waited for the cancel and then reset: the token is clean
-        // for the worker's next job.
-        assert!(!token.is_cancelled());
-    }
-
-    #[test]
-    fn watchdog_fires_only_armed_expired_entries() {
-        let shared = Arc::new(Watchdog::default());
-        let thread = std::thread::spawn({
-            let shared = Arc::clone(&shared);
-            move || shared.run()
-        });
-        let soon = CancelToken::new();
-        let later = CancelToken::new();
-        shared.arm(Instant::now() + Duration::from_millis(10), soon.clone());
-        let far = shared.arm(Instant::now() + Duration::from_secs(60), later.clone());
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !soon.is_cancelled() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(soon.is_cancelled(), "expired entry must fire");
-        assert!(!later.is_cancelled(), "future entry must not fire");
-        Watchdog::disarm(&far, &later);
-        shared.shutdown();
-        thread.join().unwrap();
     }
 }

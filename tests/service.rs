@@ -4,6 +4,7 @@
 use std::time::{Duration, Instant};
 
 use paresy::prelude::*;
+use rei_obs::TraceRegistry;
 
 /// Spins until the service's queue is empty — i.e. a worker has picked up
 /// everything submitted so far. Tests that stage a long-running blocker
@@ -184,8 +185,14 @@ fn deadline_reached_mid_run_cancels_cooperatively() {
     // run through the worker's CancelToken.
     let synth = SynthConfig::default().with_time_budget(Duration::from_secs(30));
     let service = SynthService::start(ServiceConfig::new(1).with_synth(synth)).unwrap();
+    let traces = TraceRegistry::new(1024, None);
+    let trace = traces.begin();
     let handle = service
-        .submit(SynthRequest::new(hard_spec()).with_timeout(Duration::from_millis(50)))
+        .submit(
+            SynthRequest::new(hard_spec())
+                .with_timeout(Duration::from_millis(50))
+                .with_trace(trace.clone()),
+        )
         .unwrap();
     let response = handle.wait();
     assert!(
@@ -195,10 +202,55 @@ fn deadline_reached_mid_run_cancels_cooperatively() {
     );
     assert!(response.ran > Duration::ZERO, "the run had started");
 
+    // The miss is explainable from the trace alone: one `deadline` event
+    // carrying the overshoot past the deadline.
+    let misses: Vec<_> = traces
+        .events(trace.id())
+        .into_iter()
+        .filter(|event| event.phase == "deadline")
+        .collect();
+    assert_eq!(misses.len(), 1, "{misses:?}");
+    let overshoot = misses[0].detail.strip_prefix("overshoot_us=");
+    assert!(
+        overshoot.is_some_and(|us| us.parse::<u64>().is_ok()),
+        "{misses:?}"
+    );
+
     // The worker's token was reset after the cancellation: the session
     // keeps serving later jobs normally.
     let after = service.submit(SynthRequest::new(intro_spec())).unwrap();
     assert_eq!(after.wait().outcome.expect("worker recovered").cost, 8);
+
+    // A refine runs through the same path: its deadline cancels the run
+    // too, and the failed run leaves the session nothing to reuse.
+    let session = service.open_session(None, None).unwrap();
+    let refine = service
+        .submit(
+            SynthRequest::new(hard_spec())
+                .with_session(&session)
+                .with_timeout(Duration::from_millis(50)),
+        )
+        .unwrap()
+        .wait();
+    assert!(
+        matches!(refine.outcome, Err(SynthesisError::Cancelled { .. })),
+        "expected cooperative cancellation, got {:?}",
+        refine.outcome
+    );
+    assert!(refine.ran > Duration::ZERO, "the refine had started");
+    assert_eq!(
+        refine.reuse,
+        Some(ReuseDecision::Cold(ColdReason::NoPrevious))
+    );
+    let easy = service
+        .submit(SynthRequest::new(intro_spec()).with_session(&session))
+        .unwrap()
+        .wait();
+    assert_eq!(easy.outcome.expect("session recovered").cost, 8);
+    assert_eq!(
+        easy.reuse,
+        Some(ReuseDecision::Cold(ColdReason::PreviousFailed))
+    );
     service.shutdown();
 }
 
