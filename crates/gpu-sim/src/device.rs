@@ -1,11 +1,16 @@
-//! The simulated SIMT device: a thread count and launch counters. There
-//! is no thread pool: every multi-block kernel launch spawns its scoped
-//! workers afresh.
+//! The simulated SIMT device: a thread count, warps of rows and launch
+//! counters. There is no thread pool: every multi-block kernel launch
+//! spawns its scoped workers afresh.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::DeviceStats;
+
+/// Rows per warp, the unit one kernel item covers. A kernel may bit-slice
+/// a warp into the bit lanes of one `u64`, so a warp is one machine word
+/// wide.
+pub const WARP_LANES: usize = 64;
 
 /// Configuration of a simulated device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,9 +18,10 @@ pub struct DeviceConfig {
     /// Number of OS threads that play the role of streaming
     /// multiprocessors. Defaults to the available parallelism of the host.
     pub threads: usize,
-    /// Number of items each worker claims at a time (the "thread block"
-    /// size). Larger blocks amortise scheduling overhead; smaller blocks
-    /// balance irregular work better.
+    /// Number of rows each worker claims at a time (the "thread block"
+    /// size), rounded up to whole warps of [`WARP_LANES`] rows. Larger
+    /// blocks amortise scheduling overhead; smaller blocks balance
+    /// irregular work better.
     pub block_size: usize,
 }
 
@@ -47,12 +53,18 @@ struct Counters {
 /// # Example
 ///
 /// ```
-/// use gpu_sim::{Device, DeviceConfig};
+/// use gpu_sim::{Device, DeviceConfig, WARP_LANES};
 ///
-/// let device = Device::new(DeviceConfig { threads: 2, block_size: 8 });
-/// let mut out = vec![0u32; 100];
-/// device.launch_chunks("fill", &mut out, 1, |i, chunk| chunk[0] = i as u32);
+/// let device = Device::new(DeviceConfig { threads: 2, block_size: 64 });
+/// // 100 one-element rows, padded to two warps.
+/// let mut out = vec![0u32; 2 * WARP_LANES];
+/// device.launch_chunks("fill", &mut out, 1, 100, |base, warp| {
+///     for (lane, row) in warp.iter_mut().enumerate() {
+///         *row = (base + lane) as u32;
+///     }
+/// });
 /// assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32));
+/// assert_eq!(device.stats().items_executed, 100);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Device {
@@ -119,55 +131,72 @@ impl Device {
         }
     }
 
-    /// Launches a kernel in which item `i` owns the `i`-th chunk of
-    /// `chunk_len` elements of `out`.
+    /// Launches a kernel over `rows` rows of `row_len` elements of `out`,
+    /// one item per warp of [`WARP_LANES`] consecutive rows.
     ///
     /// This is the shape of every builder kernel in the synthesiser: the
-    /// temporary output matrix is carved into per-candidate rows and each
-    /// simulated thread fills exactly one row, so no synchronisation is
-    /// needed on the output (mirroring the write-once discipline of the
-    /// paper's language cache).
+    /// temporary output matrix is carved into per-candidate rows, and the
+    /// item of warp `w` is called with the warp's first row index
+    /// (`w * WARP_LANES`) and its `WARP_LANES * row_len` elements. The rows
+    /// of a warp run in lock-step inside that one item, and no two items
+    /// share an element, so no synchronisation is needed on the output
+    /// (mirroring the write-once discipline of the paper's language cache).
+    ///
+    /// `out` holds whole warps: `rows` rounded up to a multiple of
+    /// [`WARP_LANES`], times `row_len` elements. The padding rows of the
+    /// last warp belong to its item; the caller ignores them.
+    ///
+    /// Scheduling and counters are in rows, not warps: a thread block is
+    /// [`DeviceConfig::block_size`] rows (rounded up to whole warps), a
+    /// launch of a single block runs inline on the calling thread, and the
+    /// launch adds `rows` to [`DeviceStats::items_executed`].
+    ///
+    /// [`DeviceStats::items_executed`]: crate::DeviceStats::items_executed
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_len` is zero or `out.len()` is not a multiple of
-    /// `chunk_len`.
-    pub fn launch_chunks<T, F>(&self, _name: &str, out: &mut [T], chunk_len: usize, kernel: F)
-    where
+    /// Panics if `row_len` is zero or `out.len()` is not the length of
+    /// `rows` rows padded to whole warps.
+    pub fn launch_chunks<T, F>(
+        &self,
+        _name: &str,
+        out: &mut [T],
+        row_len: usize,
+        rows: usize,
+        kernel: F,
+    ) where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
-        assert!(chunk_len > 0, "chunk_len must be positive");
+        assert!(row_len > 0, "row_len must be positive");
+        let warps = rows.div_ceil(WARP_LANES);
+        let warp_len = WARP_LANES * row_len;
         assert_eq!(
-            out.len() % chunk_len,
-            0,
-            "output length must be a multiple of chunk_len"
+            out.len(),
+            warps * warp_len,
+            "output length must be `rows` padded to whole warps"
         );
-        let items = out.len() / chunk_len;
-        self.note_launch(items);
-        if items == 0 {
-            return;
-        }
-        // One worker per "thread block" of items, capped by the device's
-        // hardware threads; small launches run on a single worker, which
+        self.note_launch(rows);
+        // One worker per thread block, capped by the device's hardware
+        // threads; a launch of one block runs on the calling thread, which
         // keeps the (very real) launch overhead proportional to the work.
-        let blocks = items.div_ceil(self.config.block_size);
-        let workers = self.config.threads.min(blocks).max(1);
-        if workers == 1 {
-            for (i, chunk) in out.chunks_mut(chunk_len).enumerate() {
-                kernel(i, chunk);
+        let block_warps = self.config.block_size.div_ceil(WARP_LANES);
+        let blocks = warps.div_ceil(block_warps);
+        let workers = self.config.threads.min(blocks);
+        if workers <= 1 {
+            for (w, warp) in out.chunks_mut(warp_len).enumerate() {
+                kernel(w * WARP_LANES, warp);
             }
             return;
         }
-        // Distribute whole thread blocks (groups of `block_size` chunks)
-        // over workers through a channel; ownership of each disjoint
-        // `&mut` group moves to exactly one worker, which then iterates the
-        // per-item chunks inside it. Block-level granularity keeps the
-        // scheduling overhead amortised over many items.
-        let group_len = chunk_len * self.config.block_size;
-        let block_size = self.config.block_size;
+        // Distribute whole thread blocks over workers through a channel;
+        // ownership of each disjoint `&mut` block moves to exactly one
+        // worker, which then runs the warps inside it. Block-level
+        // granularity keeps the scheduling overhead amortised over many
+        // warps.
+        let block_rows = block_warps * WARP_LANES;
         let (tx, rx) = crossbeam::channel::unbounded();
-        for pair in out.chunks_mut(group_len).enumerate() {
+        for pair in out.chunks_mut(block_warps * warp_len).enumerate() {
             tx.send(pair).expect("channel send");
         }
         drop(tx);
@@ -176,10 +205,10 @@ impl Device {
             for _ in 0..workers {
                 let rx = rx.clone();
                 scope.spawn(move |_| {
-                    while let Ok((group_idx, group)) = rx.recv() {
-                        let base = group_idx * block_size;
-                        for (offset, chunk) in group.chunks_mut(chunk_len).enumerate() {
-                            kernel(base + offset, chunk);
+                    while let Ok((block, span)) = rx.recv() {
+                        let base = block * block_rows;
+                        for (w, warp) in span.chunks_mut(warp_len).enumerate() {
+                            kernel(base + w * WARP_LANES, warp);
                         }
                     }
                 });
@@ -197,7 +226,7 @@ impl Device {
             .fetch_add(items as u64, Ordering::Relaxed);
     }
 
-    /// Records a kernel launch of `items` items that was *scheduled by the
+    /// Records a kernel launch of `items` rows that was *scheduled by the
     /// caller* rather than through [`Device::launch_chunks`].
     ///
     /// Backends that partition work over their own scoped threads (the
@@ -223,46 +252,84 @@ impl Device {
 mod tests {
     use super::*;
 
+    /// A buffer of `rows` one-element rows padded to whole warps.
+    fn rows(rows: usize) -> Vec<u32> {
+        vec![0; rows.div_ceil(WARP_LANES) * WARP_LANES]
+    }
+
     #[test]
     fn launch_visits_every_item_exactly_once() {
-        let device = Device::new(DeviceConfig {
-            threads: 4,
-            block_size: 8,
-        });
-        let mut visits = vec![0u32; 1000];
-        device.launch_chunks("count", &mut visits, 1, |_, chunk| chunk[0] += 1);
-        assert!(visits.iter().all(|&v| v == 1));
+        for (threads, block_size) in [(4, 64), (3, 100), (2, 8), (1, 256)] {
+            let device = Device::new(DeviceConfig {
+                threads,
+                block_size,
+            });
+            let mut visits = rows(1000);
+            device.launch_chunks("count", &mut visits, 1, 1000, |_, warp| {
+                for v in warp {
+                    *v += 1;
+                }
+            });
+            assert!(visits.iter().all(|&v| v == 1), "{threads} x {block_size}");
+        }
     }
 
     #[test]
     fn launch_chunks_gives_each_item_its_own_chunk() {
         let device = Device::new(DeviceConfig {
             threads: 3,
-            block_size: 4,
+            block_size: 64,
         });
-        let mut out = vec![0u64; 12 * 4];
-        device.launch_chunks("ids", &mut out, 4, |i, chunk| {
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = (i * 4 + j) as u64;
+        // 130 rows of 4 elements: three warps, the last with 2 live rows.
+        let mut out = vec![0u64; 3 * WARP_LANES * 4];
+        device.launch_chunks("ids", &mut out, 4, 130, |base, warp| {
+            assert_eq!(base % WARP_LANES, 0);
+            assert_eq!(warp.len(), WARP_LANES * 4);
+            for (j, slot) in warp.iter_mut().enumerate() {
+                *slot = (base * 4 + j) as u64;
             }
         });
-        let expected: Vec<u64> = (0..48).collect();
+        let expected: Vec<u64> = (0..out.len() as u64).collect();
         assert_eq!(out, expected);
     }
 
     #[test]
     fn sequential_device_uses_one_worker() {
         let device = Device::sequential();
-        let mut out = vec![0u8; 10];
-        device.launch_chunks("fill", &mut out, 1, |i, chunk| chunk[0] = i as u8);
-        assert_eq!(out, (0..10).collect::<Vec<u8>>());
+        let caller = std::thread::current().id();
+        let mut out = rows(1000);
+        device.launch_chunks("fill", &mut out, 1, 1000, |_, warp| {
+            assert_eq!(std::thread::current().id(), caller);
+            warp.fill(1);
+        });
+        assert!(out.iter().all(|&v| v == 1));
+    }
+
+    #[test]
+    fn one_block_of_rows_runs_inline_and_two_spawn() {
+        let device = Device::new(DeviceConfig {
+            threads: 2,
+            block_size: 256,
+        });
+        let caller = std::thread::current().id();
+        let mut out = rows(256);
+        device.launch_chunks("inline", &mut out, 1, 256, |_, _| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+        let mut out = rows(257);
+        let spawned = AtomicU64::new(0);
+        device.launch_chunks("spawn", &mut out, 1, 257, |_, _| {
+            let other = std::thread::current().id() != caller;
+            spawned.fetch_add(u64::from(other), Ordering::Relaxed);
+        });
+        assert_eq!(spawned.load(Ordering::Relaxed), 5);
     }
 
     #[test]
     fn empty_launch_is_a_noop() {
         let device = Device::with_threads(2);
         let mut out: Vec<u64> = Vec::new();
-        device.launch_chunks("noop", &mut out, 8, |_, _| unreachable!());
+        device.launch_chunks("noop", &mut out, 8, 0, |_, _| unreachable!());
         assert_eq!(device.stats().items_executed, 0);
         assert_eq!(device.stats().kernel_launches, 1);
     }
@@ -270,17 +337,17 @@ mod tests {
     #[test]
     fn stats_count_launches_and_items() {
         let device = Device::with_threads(2);
-        device.launch_chunks("a", &mut [0u8; 10], 1, |_, _| {});
-        device.launch_chunks("b", &mut [0u8; 10], 2, |_, _| {});
+        device.launch_chunks("a", &mut rows(10), 1, 10, |_, _| {});
+        device.launch_chunks("b", &mut vec![0u8; 2 * WARP_LANES * 2], 2, 65, |_, _| {});
         let stats = device.stats();
         assert_eq!(stats.kernel_launches, 2);
-        assert_eq!(stats.items_executed, 15);
+        assert_eq!(stats.items_executed, 75);
     }
 
     #[test]
     fn reset_stats_gives_per_run_deltas_on_a_reused_device() {
         let device = Device::with_threads(2);
-        device.launch_chunks("warm-up-run", &mut [0u8; 10], 1, |_, _| {});
+        device.launch_chunks("warm-up-run", &mut rows(10), 1, 10, |_, _| {});
         device.record_hash_insertions(3);
         assert_eq!(device.stats().kernel_launches, 1);
 
@@ -290,17 +357,17 @@ mod tests {
         assert_eq!(cleared.items_executed, 0);
         assert_eq!(cleared.hash_insertions, 0);
 
-        device.launch_chunks("second-run", &mut [0u8; 7], 1, |_, _| {});
+        device.launch_chunks("second-run", &mut rows(7), 1, 7, |_, _| {});
         assert_eq!(device.stats().kernel_launches, 1);
         assert_eq!(device.stats().items_executed, 7);
     }
 
     #[test]
-    #[should_panic(expected = "multiple of chunk_len")]
+    #[should_panic(expected = "padded to whole warps")]
     fn mismatched_chunking_panics() {
         let device = Device::sequential();
         let mut out = vec![0u64; 10];
-        device.launch_chunks("bad", &mut out, 3, |_, _| {});
+        device.launch_chunks("bad", &mut out, 1, 10, |_, _| {});
     }
 
     #[test]
@@ -311,8 +378,8 @@ mod tests {
         });
         assert_eq!(device.config().threads, 1);
         assert_eq!(device.config().block_size, 1);
-        let mut out = vec![0u8; 7];
-        device.launch_chunks("fill", &mut out, 1, |_, chunk| chunk[0] = 1);
-        assert_eq!(out, [1; 7]);
+        let mut out = rows(7);
+        device.launch_chunks("fill", &mut out, 1, 7, |_, warp| warp.fill(1));
+        assert_eq!(out, [1; WARP_LANES]);
     }
 }

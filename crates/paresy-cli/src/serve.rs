@@ -25,8 +25,12 @@
 //!
 //! ```json
 //! {"id": "r1", "status": "solved", "regex": "10(0+1)*", "cost": 8,
-//!  "source": "fresh", "wait_ms": 0.1, "run_ms": 2.5, "candidates": 117}
+//!  "source": "fresh", "wait_ms": 2.6, "run_ms": 2.5, "candidates": 117}
 //! ```
+//!
+//! `wait_ms` runs from submission to completion and includes `run_ms`,
+//! the synthesis run itself; the queue wait is their difference (see
+//! [`rei_net::protocol`]).
 //!
 //! Stdin is served as one connection of the TCP front-end, through the
 //! same loop ([`rei_net::serve_connection`], which states the ordering
@@ -542,6 +546,19 @@ mod tests {
             Some("cancelled")
         );
         assert_eq!(results[0].get("run_ms").and_then(Json::as_f64), Some(0.0));
+    }
+
+    #[test]
+    fn fresh_answer_wait_includes_its_run() {
+        let input = "{\"id\": \"intro\", \"pos\": [\"10\", \"101\", \"100\", \"1010\"], \
+                     \"neg\": [\"\", \"0\", \"1\", \"00\", \"11\"]}\n";
+        let results = lines(&serve(&options(), input.as_bytes()));
+        let line = &results[0];
+        assert_eq!(line.get("source").and_then(Json::as_str), Some("fresh"));
+        let wait = line.get("wait_ms").and_then(Json::as_f64).unwrap();
+        let run = line.get("run_ms").and_then(Json::as_f64).unwrap();
+        assert!(run > 0.0, "{line:?}");
+        assert!(wait >= run, "wait_ms {wait} < run_ms {run}: {line:?}");
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   strategy.
 //! * [`DeviceParallel`] — each batch of a level is materialised as
 //!   data-parallel kernel items on an owned, reusable
-//!   [`gpu_sim::Device`], mirroring the temporary-buffer → cache copy
-//!   structure of the paper's GPU implementation.
+//!   [`gpu_sim::Device`], one item per warp of 64 candidates whose
+//!   concatenations run as one bit-sliced Algorithm-2 gather, mirroring
+//!   the temporary-buffer → cache copy structure of the paper's GPU
+//!   implementation.
 //!
 //! A backend receives each batch as a [`LevelBatch`] and either drives one
 //! of the prebuilt strategies ([`LevelBatch::run_sequential`],
@@ -137,6 +139,14 @@ impl Backend for ThreadParallel {
 
 /// The data-parallel strategy: level batches run as kernels on an owned,
 /// reusable simulated SIMT [`Device`].
+///
+/// One kernel item is a warp of up to 64 consecutive candidates of a
+/// batch ([`LevelBatch::run_on_device`]). The warp's concatenations run
+/// the paper's branch-free per-word gather over the guide table
+/// (Algorithm 2) bit sliced, so one `u64` operation covers all 64 lanes;
+/// its other candidates run the CPU kernels. Thread blocks and the
+/// device's `items_executed` counter are in candidate rows, so the
+/// counters compare one to one with [`ThreadParallel`]'s.
 ///
 /// The device is created once (per backend) and shared across every run of
 /// the owning session. It carries a thread count and counters, not a

@@ -6,9 +6,9 @@
 //! the reference sequential loop ([`LevelBatch::run_sequential`]),
 //! partitions the batch across worker threads running the bit-parallel
 //! mask kernels ([`LevelBatch::run_threaded`]), or computes the batch as
-//! data-parallel kernel items on a [`gpu_sim::Device`]
-//! ([`LevelBatch::run_on_device`]), mirroring the temporary-buffer →
-//! cache copy of the paper's GPU implementation.
+//! data-parallel kernel items, one warp of 64 candidates each, on a
+//! [`gpu_sim::Device`] ([`LevelBatch::run_on_device`]), mirroring the
+//! temporary-buffer → cache copy of the paper's GPU implementation.
 //!
 //! Between batches and between levels the search polls a [`StopCheck`]
 //! (deadline + cooperative [`CancelToken`]) and reports each completed
@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use gpu_sim::hashset::CsSet;
-use gpu_sim::Device;
+use gpu_sim::{Device, WARP_LANES};
 use parking_lot::Mutex;
 use rei_lang::{
     csops, AdmissionPrefilter, Alphabet, CsWidth, GuideMasks, GuideTable, InfixClosure,
@@ -381,8 +381,10 @@ impl JobStream {
 ///
 /// This is the kernel body shared by the sequential path
 /// ([`Search::compute_row`]) and the thread-parallel workers
-/// ([`LevelBatch::run_threaded`]); the data-parallel device instead runs
-/// the branch-free GPU-style body in [`LevelBatch::run_on_device`].
+/// ([`LevelBatch::run_threaded`]). The data-parallel device runs it for
+/// every lane except concatenations, which it computes a warp at a time
+/// with the branch-free GPU-style `csops::concat_warp`
+/// ([`LevelBatch::run_on_device`]).
 fn compute_job_row(
     job: Job,
     row: &mut [u64],
@@ -400,11 +402,15 @@ fn compute_job_row(
 }
 
 thread_local! {
-    /// Star scratch row for the device kernel body: the device schedules
-    /// items rather than workers, so per-worker reusable state lives in a
-    /// thread local instead of a per-item heap allocation.
-    static STAR_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Scratch of the device kernel: the warp's lane columns
+    /// (`csops::concat_warp`) followed by one star scratch row. The device
+    /// schedules warps rather than workers, so per-worker reusable state
+    /// lives in a thread local instead of a per-warp heap allocation.
+    static WARP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
+
+// The warp kernel bit-slices a warp's rows into the lanes of one `u64`.
+const _: () = assert!(WARP_LANES == u64::BITS as usize);
 
 /// Flag-word bit: the row was new to the uniqueness set.
 const FLAG_UNIQUE: u64 = 1;
@@ -634,18 +640,26 @@ impl LevelBatch<'_, '_> {
     /// concurrent set) and the satisfaction check; the host then only
     /// copies the surviving rows into the language cache.
     ///
-    /// Item `k` of the launch owns the `k`-th chunk of the batch buffer,
-    /// laid out as `row_blocks()` row words followed by one flag word
-    /// (bit 0 = unique, bit 1 = satisfies the specification).
+    /// One launch item is a warp of up to [`WARP_LANES`] consecutive
+    /// candidates. Its concatenation lanes run together as one bit-sliced
+    /// Algorithm-2 gather (`csops::concat_warp`); question, star and union
+    /// lanes run their own kernels; then every lane admits its row. Row
+    /// `k` of the batch buffer is `row_blocks()` row words followed by one
+    /// flag word: `FLAG_UNIQUE` (bit 0, new to the uniqueness set),
+    /// `FLAG_SATISFIES` (bit 1), `FLAG_PREFILTERED` (bit 2, the admission
+    /// prefilter rejected the row) and `FLAG_CHECKED` (bit 3, admission
+    /// ran). The buffer is padded to whole warps; the host pass reads
+    /// only the batch's rows.
     pub fn run_on_device(&mut self, device: &Device) -> BatchOutcome {
         let blocks = self.row_blocks();
         let stride = blocks + 1;
         let batch = self.jobs;
+        let padded = batch.len().div_ceil(WARP_LANES) * WARP_LANES * stride;
         // The batch buffer is session state: warm across batches, levels
         // and runs, never larger than one streamed level chunk.
         let mut batch_rows = std::mem::take(&mut self.search.scratch.batch_rows);
-        if batch_rows.len() < batch.len() * stride {
-            batch_rows.resize(batch.len() * stride, 0);
+        if batch_rows.len() < padded {
+            batch_rows.resize(padded, 0);
         }
 
         if !self.search.on_the_fly {
@@ -660,7 +674,7 @@ impl LevelBatch<'_, '_> {
         // One streamed level chunk is one kernel launch (and one unit of
         // claimed work) on this strategy.
         self.search.stats.chunks_claimed += 1;
-        let buf = &mut batch_rows[..batch.len() * stride];
+        let buf = &mut batch_rows[..padded];
         let found = AtomicU64::new(u64::MAX);
         {
             let cache = &self.search.cache;
@@ -672,40 +686,47 @@ impl LevelBatch<'_, '_> {
             let eps = self.search.eps_index;
             let allowed = self.search.params.allowed_errors;
             let on_the_fly = self.search.on_the_fly;
-            let num_words = guide.num_words();
+            let columns_len = csops::warp_columns_len(guide.num_words());
             let found = &found;
-            device.launch_chunks("build-level", buf, stride, move |k, chunk| {
-                let (row, flags) = chunk.split_at_mut(blocks);
-                match batch[k] {
-                    Job::Concat(l, r) => {
-                        // GPU-style kernel: fold over every word with no
-                        // data-dependent early exit (cf. Algorithm 2). The
-                        // output row must be cleared first because the
-                        // batch buffer is reused across launches.
-                        csops::clear(row);
-                        let (a, b) = (cache.row(l), cache.row(r));
-                        for w in 0..num_words {
-                            if csops::concat_word_bit(a, b, guide, w) {
-                                csops::set_bit(row, w);
-                            }
-                        }
+            let kernel = move |base: usize, warp: &mut [u64]| {
+                let jobs = &batch[base..batch.len().min(base + WARP_LANES)];
+                let mut operands = [None; WARP_LANES];
+                for (ops, &job) in operands.iter_mut().zip(jobs) {
+                    if let Job::Concat(l, r) = job {
+                        *ops = Some((cache.row(l), cache.row(r)));
                     }
-                    // The device schedules items, not workers, so the star
-                    // scratch row lives in a thread local instead of a
-                    // per-worker stack slot.
-                    job => STAR_SCRATCH.with(|cell| {
-                        let mut scratch = cell.borrow_mut();
-                        scratch.resize(blocks, 0);
-                        compute_job_row(job, row, &mut scratch, cache, guide_masks, eps);
-                    }),
                 }
-                flag_computed_row(
-                    k, row, flags, seen, masks, prefilter, on_the_fly, allowed, found,
-                );
-            });
+                WARP_SCRATCH.with(|cell| {
+                    let mut scratch = cell.borrow_mut();
+                    scratch.resize(columns_len + blocks, 0);
+                    let (columns, star) = scratch.split_at_mut(columns_len);
+                    csops::concat_warp(warp, stride, &operands[..jobs.len()], guide, columns);
+                    for (lane, (&job, chunk)) in
+                        jobs.iter().zip(warp.chunks_mut(stride)).enumerate()
+                    {
+                        let (row, flags) = chunk.split_at_mut(blocks);
+                        if !matches!(job, Job::Concat(..)) {
+                            compute_job_row(job, row, star, cache, guide_masks, eps);
+                        }
+                        flag_computed_row(
+                            base + lane,
+                            row,
+                            flags,
+                            seen,
+                            masks,
+                            prefilter,
+                            on_the_fly,
+                            allowed,
+                            found,
+                        );
+                    }
+                });
+            };
+            device.launch_chunks("build-level", buf, stride, batch.len(), kernel);
         }
 
-        let outcome = self.flush_unique_rows(buf, stride, found.load(Ordering::Relaxed));
+        let rows = &buf[..batch.len() * stride];
+        let outcome = self.flush_unique_rows(rows, stride, found.load(Ordering::Relaxed));
         self.search.scratch.batch_rows = batch_rows;
         outcome
     }
@@ -728,8 +749,8 @@ impl LevelBatch<'_, '_> {
     /// Compared to [`run_on_device`](LevelBatch::run_on_device) this is
     /// the pragmatic multi-core backend: chunk claiming is one atomic
     /// `fetch_add` (no per-block channel traffic), scratch rows are
-    /// per-thread, and the kernels are the bit-parallel CPU bodies
-    /// instead of the branch-free GPU ones.
+    /// per-thread, and concatenation runs the mask kernel per row instead
+    /// of the branch-free warp gather.
     pub fn run_threaded(&mut self, threads: usize) -> BatchOutcome {
         let blocks = self.row_blocks();
         let stride = blocks + 1;

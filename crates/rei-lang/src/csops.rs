@@ -15,8 +15,9 @@
 //! * concatenation walks the set bits of its left operand and ORs
 //!   whole blocks of the right operand through the transposed
 //!   [`GuideMasks`] table ([`concat_into`]); the original per-word gather
-//!   over the [`GuideTable`] survives as [`concat_into_gather`] and as
-//!   the branch-free GPU kernel body [`concat_word_bit`],
+//!   over the [`GuideTable`] survives as [`concat_into_gather`] and, bit
+//!   sliced across a warp of 64 candidates, as the branch-free GPU kernel
+//!   [`concat_warp`] (see "Warp concatenation" below),
 //! * the Kleene star reaches its fixed point by *squaring*
 //!   (`t := t · t`, [`star_into`]), needing only O(log max word length)
 //!   concatenations; the original linear iteration survives as
@@ -41,6 +42,19 @@
 //! rotate is exact: `target_mask` holds every selected bit after the
 //! shift, so none wraps (debug builds assert this, as `MaskEntry::apply`
 //! does).
+//!
+//! # Warp concatenation
+//!
+//! The paper's GPU kernel (Algorithm 2) gives every thread one
+//! (candidate, word) pair, and each folds the guide-table splits of its
+//! word with no data-dependent exit. [`concat_warp`] runs that fold for a
+//! whole warp of up to 64 candidates at once by bit slicing: each
+//! 64-lane × 64-bit block tile of the operand rows is transposed
+//! (`transpose64`) into lane columns, where bit `i` of column `l` is bit
+//! `l` of lane `i`'s operand. A split `(l, r)` of word `w` then costs one
+//! and plus one or for all 64 lanes (`W[w] |= A[l] & B[r]`), and one more
+//! transpose turns the result columns back into rows. Rows of `k` blocks
+//! transpose `k` tiles each way, so one kernel serves every width.
 //!
 //! [`GuideMasks`]: crate::GuideMasks
 //!
@@ -100,23 +114,6 @@ pub fn or_into(dst: &mut [u64], a: &[u64], b: &[u64]) {
 pub fn question_into(dst: &mut [u64], a: &[u64], eps_index: usize) {
     copy_into(dst, a);
     set_bit(dst, eps_index);
-}
-
-/// Computes a single bit of a concatenation: whether word `w` of the infix
-/// closure belongs to `L(a) · L(b)`.
-///
-/// This is the per-thread kernel body of the GPU implementation: one thread
-/// is responsible for one (target CS, word) pair and folds over the guide
-/// table row of that word. There is no early exit, matching the paper's
-/// observation that data-dependent branching hurts GPU performance; the
-/// sequential engine uses [`concat_into`], which does exit early.
-#[inline]
-pub fn concat_word_bit(a: &[u64], b: &[u64], guide: &GuideTable, w: usize) -> bool {
-    let mut any = false;
-    for &(l, r) in guide.splits(w) {
-        any |= get_bit(a, l as usize) && get_bit(b, r as usize);
-    }
-    any
 }
 
 /// `dst := a · b` — the concatenation (semiring product) of two languages,
@@ -190,13 +187,123 @@ pub fn concat_into_gather(dst: &mut [u64], a: &[u64], b: &[u64], guide: &GuideTa
     clear(dst);
     for w in 0..guide.num_words() {
         // Early exit per word is fine on a CPU; the data-parallel engine
-        // uses `concat_word_bit` instead.
+        // uses the branch-free `concat_warp` instead.
         let hit = guide
             .splits(w)
             .iter()
             .any(|&(l, r)| get_bit(a, l as usize) && get_bit(b, r as usize));
         if hit {
             set_bit(dst, w);
+        }
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `j` of `m[i]` moves to
+/// bit `i` of `m[j]`.
+///
+/// Six rounds of masked block swaps, from 32 × 32 blocks down to single
+/// bits (the recursive transpose of Hacker's Delight §7-3, in
+/// least-significant-bit-first order).
+fn transpose64(m: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFFu64;
+    while width != 0 {
+        // Swap the upper `width` bits of row `k` with the lower `width`
+        // bits of row `k + width`, for every `k` whose `width` bit is 0.
+        let mut k = 0;
+        while k < 64 {
+            let t = ((m[k] >> width) ^ m[k + width]) & mask;
+            m[k] ^= t << width;
+            m[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// Length of the scratch [`concat_warp`] needs on a closure of
+/// `num_words` words: left, right and result lane columns, one each per
+/// closure index, rounded up to whole 64-word tiles.
+pub fn warp_columns_len(num_words: usize) -> usize {
+    3 * 64 * num_words.div_ceil(64)
+}
+
+/// `a · b` into the row of every concatenation lane of a warp of up to 64
+/// candidates: Algorithm 2's branch-free per-word gather over the pair
+/// table, bit sliced so that one `u64` operation covers every lane (see
+/// "Warp concatenation" in the module docs).
+///
+/// Lane `i`'s row is `warp[i * stride..][..blocks]`, where `blocks` is the
+/// length of the operand rows. `operands[i]` holds lane `i`'s left and
+/// right operand rows, or `None` for a lane that is not a concatenation:
+/// its row is left untouched. A warp without any concatenation lane
+/// returns at once (the whole warp takes that branch together). `columns`
+/// is scratch of at least [`warp_columns_len`]`(guide.num_words())` words.
+///
+/// # Panics
+///
+/// Panics if there are more than 64 lanes, if `columns` is too short, or if
+/// a concatenation lane's row does not fit in `warp`.
+pub fn concat_warp(
+    warp: &mut [u64],
+    stride: usize,
+    operands: &[Option<(&[u64], &[u64])>],
+    guide: &GuideTable,
+    columns: &mut [u64],
+) {
+    assert!(operands.len() <= 64, "a warp has at most 64 lanes");
+    let Some(blocks) = operands.iter().flatten().map(|(a, _)| a.len()).next() else {
+        return;
+    };
+    let num_words = guide.num_words();
+    let tiles = num_words.div_ceil(64);
+    let (left, rest) = columns.split_at_mut(64 * tiles);
+    let (right, rest) = rest.split_at_mut(64 * tiles);
+    let result = &mut rest[..64 * tiles];
+    // Row `lane` of tile `t` is block `t` of that lane's operand; padding
+    // and non-concatenation lanes contribute zero rows.
+    left.fill(0);
+    right.fill(0);
+    for (lane, &(a, b)) in operands
+        .iter()
+        .enumerate()
+        .filter_map(|(lane, ops)| Some((lane, ops.as_ref()?)))
+    {
+        for t in 0..tiles {
+            left[64 * t + lane] = a[t];
+            right[64 * t + lane] = b[t];
+        }
+    }
+    for tile in left
+        .as_chunks_mut()
+        .0
+        .iter_mut()
+        .chain(right.as_chunks_mut().0)
+    {
+        transpose64(tile);
+    }
+    // Bit `i` of `result[w]`: does lane `i`'s product contain word `w`?
+    // Every split is folded; there is no early exit.
+    let (words, padding) = result.split_at_mut(num_words);
+    for (w, out) in words.iter_mut().enumerate() {
+        *out = guide
+            .splits(w)
+            .iter()
+            .fold(0, |acc, &(l, r)| acc | left[l as usize] & right[r as usize]);
+    }
+    padding.fill(0);
+    for tile in result.as_chunks_mut().0.iter_mut() {
+        transpose64(tile);
+    }
+    for (lane, ops) in operands.iter().enumerate() {
+        if ops.is_none() {
+            continue;
+        }
+        let row = &mut warp[lane * stride..][..blocks];
+        for (t, block) in row.iter_mut().enumerate() {
+            // Blocks past the closure's last tile are row padding.
+            *block = if t < tiles { result[64 * t + lane] } else { 0 };
         }
     }
 }
@@ -339,6 +446,18 @@ mod tests {
         }
     }
 
+    /// Whether word `w` of the infix closure belongs to `L(a) · L(b)`: the
+    /// paper's per-thread GPU kernel body, one (candidate, word) pair per
+    /// thread folding its word's guide-table splits with no early exit.
+    /// The reference the bit-sliced [`concat_warp`] is checked against.
+    fn concat_word_bit(a: &[u64], b: &[u64], guide: &GuideTable, w: usize) -> bool {
+        let mut any = false;
+        for &(l, r) in guide.splits(w) {
+            any |= get_bit(a, l as usize) && get_bit(b, r as usize);
+        }
+        any
+    }
+
     fn example_spec() -> Spec {
         Spec::from_strs(["1", "011", "1011", "11011"], ["", "10", "101", "0011"]).unwrap()
     }
@@ -451,6 +570,96 @@ mod tests {
         for w in 0..ic.len() {
             assert_eq!(dst.get(w), concat_word_bit(a.blocks(), b.blocks(), &gt, w));
         }
+    }
+
+    /// Bit `j` of `m[i]` moved to bit `i` of `out[j]`, one bit at a time.
+    fn naive_transpose(m: &[u64; 64]) -> [u64; 64] {
+        let mut out = [0u64; 64];
+        for (i, &row) in m.iter().enumerate() {
+            for (j, col) in out.iter_mut().enumerate() {
+                *col |= (row >> j & 1) << i;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose64_matches_naive_transpose_and_is_an_involution() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut identity = [0u64; 64];
+        for (i, row) in identity.iter_mut().enumerate() {
+            *row = 1 << i;
+        }
+        let mut single = [0u64; 64];
+        single[3] = 1 << 60;
+        for m in [
+            identity,
+            single,
+            [u64::MAX; 64],
+            std::array::from_fn(|_| next()),
+        ] {
+            let mut t = m;
+            transpose64(&mut t);
+            assert_eq!(t, naive_transpose(&m));
+            transpose64(&mut t);
+            assert_eq!(t, m);
+        }
+        // Row 3's bit 60 lands in row 60's bit 3.
+        transpose64(&mut single);
+        assert_eq!(single[60], 1 << 3);
+        assert_eq!(single.iter().filter(|&&x| x != 0).count(), 1);
+    }
+
+    /// Runs [`concat_warp`] over `lanes` (one operand pair or `None` per
+    /// lane) in a warp buffer of `stride`-word rows pre-filled with a
+    /// marker, and checks every concat lane against [`concat_word_bit`]
+    /// and [`concat_into_gather`] while every other row keeps its marker.
+    fn check_warp(
+        lanes: &[Option<(Vec<u64>, Vec<u64>)>],
+        guide: &GuideTable,
+        blocks: usize,
+    ) -> Result<(), TestCaseError> {
+        const MARKER: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+        let stride = blocks + 1;
+        let mut warp = vec![MARKER; 64 * stride];
+        let mut columns = vec![MARKER; warp_columns_len(guide.num_words())];
+        let operands: Vec<Option<(&[u64], &[u64])>> = lanes
+            .iter()
+            .map(|ops| ops.as_ref().map(|(a, b)| (&a[..], &b[..])))
+            .collect();
+        concat_warp(&mut warp, stride, &operands, guide, &mut columns);
+        for (lane, chunk) in warp.chunks(stride).enumerate() {
+            let (row, flag) = chunk.split_at(blocks);
+            prop_assert_eq!(flag[0], MARKER, "lane {} flag word", lane);
+            match lanes.get(lane).and_then(Option::as_ref) {
+                Some((a, b)) => {
+                    let mut want = vec![0u64; blocks];
+                    concat_into_gather(&mut want, a, b, guide);
+                    prop_assert_eq!(row, &want[..], "lane {}", lane);
+                    for w in 0..guide.num_words() {
+                        prop_assert_eq!(get_bit(row, w), concat_word_bit(a, b, guide, w));
+                    }
+                }
+                None => prop_assert!(row.iter().all(|&x| x == MARKER), "lane {}", lane),
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn warp_without_concat_lanes_is_untouched() {
+        let (_, gt, _) = setup(&example_spec());
+        let mut warp = vec![7u64; 64 * 2];
+        let mut columns = vec![0u64; warp_columns_len(gt.num_words())];
+        concat_warp(&mut warp, 2, &[None; 64], &gt, &mut columns);
+        concat_warp(&mut warp, 2, &[], &gt, &mut columns);
+        assert!(warp.iter().all(|&x| x == 7));
     }
 
     #[test]
@@ -619,6 +828,55 @@ mod tests {
             star_into(&mut got, &a, &gm, eps, &mut scratch);
             star_into_linear(&mut want, &a, &gt, eps, &mut scratch);
             prop_assert_eq!(got, want, "({:#x})*", a[0]);
+        }
+
+        /// The bit-sliced warp kernel equals the per-word gather on every
+        /// lane: closures of one, two and three or more blocks (including
+        /// power-of-two row padding past the last tile), warps of 1, 63,
+        /// 64 and 65 lanes (the 65th runs as a second, one-lane warp) and
+        /// non-concatenation lanes mixed in, which keep their rows.
+        #[test]
+        fn concat_warp_agrees_with_word_gather(
+            max_len in 3u32..9,
+            extra in proptest::collection::vec("[01]{0,9}", 0..3),
+            lanes in prop_oneof![Just(1usize), Just(63), Just(64), Just(65)],
+            seed in 0..u64::MAX,
+        ) {
+            let ic = InfixClosure::of_words(
+                wide_closure(max_len)
+                    .iter()
+                    .map(|(_, w)| w.clone())
+                    .chain(extra.iter().map(|s| Word::from(s.as_str()))),
+            );
+            let gt = GuideTable::build(&ic);
+            let blocks = ic.width().blocks();
+            let live = |i: usize| i < ic.len();
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut row = |density: u64| -> Vec<u64> {
+                let mut r = vec![0u64; blocks];
+                for i in (0..64 * blocks).filter(|&i| live(i)) {
+                    if next() % 4 < density {
+                        set_bit(&mut r, i);
+                    }
+                }
+                r
+            };
+            let all: Vec<Option<(Vec<u64>, Vec<u64>)>> = (0..lanes)
+                .map(|lane| match lane % 5 {
+                    // Every fifth lane is another kind of job.
+                    4 => None,
+                    k => Some((row(k as u64 % 4), row(3 - k as u64 % 3))),
+                })
+                .collect();
+            for warp in all.chunks(64) {
+                check_warp(warp, &gt, blocks)?;
+            }
         }
 
         /// The kernel evaluation of random small regexes agrees with the

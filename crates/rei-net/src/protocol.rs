@@ -24,6 +24,15 @@
 //! refused the request. A line that is not UTF-8 is answered with a
 //! `bad-request` carrying its line number, and reading goes on.
 //!
+//! Every answered request also carries `source` (`fresh`, `cache`,
+//! `coalesced` or `session`) and two times in milliseconds. `wait_ms` is
+//! submission to completion, so it *includes* `run_ms`, the wall-clock
+//! time of the synthesis run itself (0 when none ran: cache hits and
+//! requests whose deadline expired in the queue). The queue wait is
+//! `wait_ms - run_ms`. A coalesced answer shares a run that may have
+//! started before it was submitted, so only there can `run_ms` exceed
+//! `wait_ms`.
+//!
 //! A line carrying an `"op"` key is a *control verb* instead of a
 //! request — see [`Verb`]. Verbs answer on the same connection, TCP or
 //! stdin: `{"op": "ping"}` echoes `{"op": "ping", "status": "ok"}`,

@@ -262,3 +262,37 @@ fn the_quick_pool_solves_on_every_backend_with_sane_level_counters() {
         }
     }
 }
+
+/// The thread-parallel and device backends count the same work: one
+/// kernel launch per batch and one item per candidate row. The device
+/// runs a warp of up to 64 rows per item, but its counter stays in rows
+/// (never warps, never the padding of a batch's last warp), which is what
+/// benchmark reports of `items_executed` compare across backends.
+#[test]
+fn thread_and_device_backends_count_the_same_launches_and_rows() {
+    let spec = Spec::from_strs(
+        ["10", "101", "100", "1010", "1011", "1000", "1001"],
+        ["", "0", "1", "00", "11", "010"],
+    )
+    .unwrap();
+    // Batches of at most 1000 rows: most end in a partial warp.
+    let config = SynthConfig::new(CostFn::UNIFORM).with_level_chunk_rows(1000);
+    let mut counted = Vec::new();
+    for choice in [
+        BackendChoice::ThreadParallel { threads: Some(2) },
+        BackendChoice::DeviceParallel { threads: Some(2) },
+    ] {
+        let mut session = SynthSession::new(config.clone().with_backend(choice)).unwrap();
+        let result = session.run(&spec).unwrap();
+        assert_eq!(result.cost, 8);
+        let stats = session.device().unwrap().stats();
+        assert!(stats.kernel_launches > 1, "{}: {stats:?}", choice.name());
+        assert!(
+            stats.items_executed <= result.stats.candidates_generated,
+            "{}: more items than candidates: {stats:?}",
+            choice.name()
+        );
+        counted.push((stats.kernel_launches, stats.items_executed));
+    }
+    assert_eq!(counted[0], counted[1]);
+}
