@@ -1,9 +1,9 @@
 //! The simulated SIMT device: a thread count, warps of rows and launch
-//! counters. There is no thread pool: every multi-block kernel launch
-//! spawns its scoped workers afresh.
+//! counters, over the span executor [`for_each_span`]. There is no thread
+//! pool: every multi-block kernel launch spawns its scoped workers afresh.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::DeviceStats;
 
@@ -11,6 +11,52 @@ use crate::DeviceStats;
 /// a warp into the bit lanes of one `u64`, so a warp is one machine word
 /// wide.
 pub const WARP_LANES: usize = 64;
+
+/// Runs `f(span_index, span)` once for each `span_len`-element span of
+/// `out`; the last span may be shorter.
+///
+/// With `workers <= 1` the spans run on the calling thread, in order.
+/// Otherwise `workers` scoped threads are spawned for this call, and each
+/// claims the next unclaimed span (in ascending order) until none is
+/// left. The claim moves the span's `&mut` to exactly one thread, so `f`
+/// needs no synchronisation on its span. The caller picks `workers`: it
+/// is not capped by the number of spans.
+///
+/// # Example
+///
+/// ```
+/// let mut out = vec![0usize; 10];
+/// gpu_sim::for_each_span(3, &mut out, 4, |index, span| span.fill(index));
+/// assert_eq!(out, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `span_len` is zero, or if `f` panics on any thread.
+pub fn for_each_span<T, F>(workers: usize, out: &mut [T], span_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let spans = out.chunks_mut(span_len).enumerate();
+    if workers <= 1 {
+        spans.for_each(|(index, span)| f(index, span));
+        return;
+    }
+    let spans = Mutex::new(spans);
+    let (spans, f) = (&spans, &f);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(move || loop {
+                // The guard drops at the end of this statement, so `f`
+                // runs without the lock (and cannot poison it).
+                let next = spans.lock().expect("span cursor poisoned").next();
+                let Some((index, span)) = next else { break };
+                f(index, span);
+            });
+        }
+    });
+}
 
 /// Configuration of a simulated device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,44 +223,21 @@ impl Device {
             "output length must be `rows` padded to whole warps"
         );
         self.note_launch(rows);
-        // One worker per thread block, capped by the device's hardware
-        // threads; a launch of one block runs on the calling thread, which
-        // keeps the (very real) launch overhead proportional to the work.
+        // One span per thread block and at most one worker per block,
+        // capped by the device's hardware threads; a launch of one block
+        // runs on the calling thread, which keeps the (very real) launch
+        // overhead proportional to the work. Block-level claims amortise
+        // the claiming cost over many warps.
         let block_warps = self.config.block_size.div_ceil(WARP_LANES);
         let blocks = warps.div_ceil(block_warps);
         let workers = self.config.threads.min(blocks);
-        if workers <= 1 {
-            for (w, warp) in out.chunks_mut(warp_len).enumerate() {
-                kernel(w * WARP_LANES, warp);
-            }
-            return;
-        }
-        // Distribute whole thread blocks over workers through a channel;
-        // ownership of each disjoint `&mut` block moves to exactly one
-        // worker, which then runs the warps inside it. Block-level
-        // granularity keeps the scheduling overhead amortised over many
-        // warps.
         let block_rows = block_warps * WARP_LANES;
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for pair in out.chunks_mut(block_warps * warp_len).enumerate() {
-            tx.send(pair).expect("channel send");
-        }
-        drop(tx);
-        let kernel = &kernel;
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let rx = rx.clone();
-                scope.spawn(move |_| {
-                    while let Ok((block, span)) = rx.recv() {
-                        let base = block * block_rows;
-                        for (w, warp) in span.chunks_mut(warp_len).enumerate() {
-                            kernel(base + w * WARP_LANES, warp);
-                        }
-                    }
-                });
+        for_each_span(workers, out, block_warps * warp_len, |block, span| {
+            let base = block * block_rows;
+            for (w, warp) in span.chunks_mut(warp_len).enumerate() {
+                kernel(base + w * WARP_LANES, warp);
             }
-        })
-        .expect("kernel worker panicked");
+        });
     }
 
     fn note_launch(&self, items: usize) {
@@ -226,12 +249,13 @@ impl Device {
             .fetch_add(items as u64, Ordering::Relaxed);
     }
 
-    /// Records a kernel launch of `items` rows that was *scheduled by the
+    /// Records a kernel launch of `items` rows that was *run by the
     /// caller* rather than through [`Device::launch_chunks`].
     ///
-    /// Backends that partition work over their own scoped threads (the
-    /// thread-parallel CPU backend) use this so that launch and item
-    /// counters stay comparable across backends in benchmark reports.
+    /// Backends that run their batches through [`for_each_span`]
+    /// themselves (the thread-parallel CPU backend) use this so that
+    /// launch and item counters stay comparable across backends in
+    /// benchmark reports.
     pub fn record_launch(&self, items: usize) {
         self.note_launch(items);
     }
@@ -255,6 +279,67 @@ mod tests {
     /// A buffer of `rows` one-element rows padded to whole warps.
     fn rows(rows: usize) -> Vec<u32> {
         vec![0; rows.div_ceil(WARP_LANES) * WARP_LANES]
+    }
+
+    #[test]
+    fn every_span_is_visited_exactly_once() {
+        const SPAN: usize = 5;
+        for workers in [1, 2, 3, 8] {
+            for spans in [0, 1, 7, 100] {
+                // The last span is partial (3 of 5 elements) when any exist.
+                let len = (spans * SPAN).saturating_sub(2);
+                let mut out = vec![0u32; len];
+                let visits: Vec<AtomicU64> = (0..spans).map(|_| AtomicU64::new(0)).collect();
+                for_each_span(workers, &mut out, SPAN, |index, span| {
+                    visits[index].fetch_add(1, Ordering::Relaxed);
+                    let expected = SPAN.min(len - index * SPAN);
+                    assert_eq!(span.len(), expected, "span {index}");
+                    for x in span {
+                        *x += 1;
+                    }
+                });
+                let counts: Vec<u64> = visits.iter().map(|v| v.load(Ordering::Relaxed)).collect();
+                assert!(
+                    counts.iter().all(|&c| c == 1),
+                    "{workers} x {spans}: {counts:?}"
+                );
+                assert!(out.iter().all(|&x| x == 1), "{workers} x {spans}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_spans_inline_in_order() {
+        let caller = std::thread::current().id();
+        for workers in [0, 1] {
+            let order = Mutex::new(Vec::new());
+            for_each_span(workers, &mut [0u8; 20], 3, |index, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(index);
+            });
+            assert_eq!(order.into_inner().unwrap(), (0..7).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn each_worker_claims_spans_in_ascending_order() {
+        let claims = Mutex::new(Vec::new());
+        for_each_span(3, &mut [0u8; 200], 2, |index, _| {
+            claims
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), index));
+        });
+        let claims = claims.into_inner().unwrap();
+        assert_eq!(claims.len(), 100);
+        for (thread, _) in &claims {
+            let mine: Vec<usize> = claims
+                .iter()
+                .filter(|(t, _)| t == thread)
+                .map(|&(_, index)| index)
+                .collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
+        }
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl LockFreeU64Set {
 
 /// A pass-through hasher for keys that already *are* [`hash_row`]
 /// outputs: re-mixing a well-mixed 64-bit value through SipHash would
-/// waste exactly the work [`ShardedSet::insert_hashed`] exists to avoid.
+/// hash every row twice.
 #[derive(Default)]
 struct PrehashedKey(u64);
 
@@ -272,11 +272,7 @@ type Shard = Mutex<HashMap<u64, Bucket, std::hash::BuildHasherDefault<PrehashedK
 /// to the (almost always singleton) `Bucket` of distinct rows sharing
 /// it, through a pass-through hasher — so every insertion hashes the
 /// multi-word row exactly once, and only exact equality inside a bucket
-/// touches the row again. Callers that already hold a row's hash (say,
-/// carried alongside the row through a pipeline) can skip even that one
-/// walk via [`ShardedSet::insert_hashed`]; the synthesiser's kernels use
-/// plain [`ShardedSet::insert`], whose single internal [`hash_row`] is
-/// already the minimum.
+/// touches the row again.
 #[derive(Debug)]
 pub struct ShardedSet {
     shards: Vec<Shard>,
@@ -319,23 +315,7 @@ impl ShardedSet {
 
     /// Inserts `row`, returning `true` if it was not present before.
     pub fn insert(&self, row: &[u64]) -> bool {
-        self.insert_hashed(row, hash_row(row))
-    }
-
-    /// The shard a hash belongs to. Shards are picked from the *upper*
-    /// hash bits: the pass-through shard maps consume the lower bits for
-    /// their bucket index, and keys within one shard share their low
-    /// shard-index bits by construction — using them twice would cluster
-    /// every shard map into a fraction of its buckets.
-    fn shard_of(&self, hash: u64) -> usize {
-        ((hash >> 32) as usize) & (self.shards.len() - 1)
-    }
-
-    /// Like [`ShardedSet::insert`], with the row's [`hash_row`] value
-    /// precomputed by the caller, so the row itself is only touched for
-    /// exact equality inside its bucket.
-    pub fn insert_hashed(&self, row: &[u64], hash: u64) -> bool {
-        debug_assert_eq!(hash, hash_row(row), "caller-supplied hash mismatch");
+        let hash = hash_row(row);
         let mut guard = self.shards[self.shard_of(hash)].lock();
         let fresh = match guard.entry(hash) {
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -350,6 +330,15 @@ impl ShardedSet {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
         fresh
+    }
+
+    /// The shard a hash belongs to. Shards are picked from the *upper*
+    /// hash bits: the pass-through shard maps consume the lower bits for
+    /// their bucket index, and keys within one shard share their low
+    /// shard-index bits by construction — using them twice would cluster
+    /// every shard map into a fraction of its buckets.
+    fn shard_of(&self, hash: u64) -> usize {
+        ((hash >> 32) as usize) & (self.shards.len() - 1)
     }
 
     /// Returns `true` if `row` has been inserted.
@@ -425,24 +414,6 @@ impl CsSet {
         match self {
             CsSet::Narrow(set) => set.insert(row[0]),
             CsSet::Wide(set) => set.insert(row),
-        }
-    }
-
-    /// Like [`CsSet::insert`], with the row's [`hash_row`] value already
-    /// computed by the caller. The narrow single-word table keys directly
-    /// off the row word and ignores the hash; the wide table uses it to
-    /// find the bucket without re-walking the row.
-    ///
-    /// The synthesiser's own kernels call plain [`CsSet::insert`] — its
-    /// single internal hash (none at all on narrow rows) is already the
-    /// minimum, so precomputing would only pessimize the narrow path.
-    /// This entry point exists for callers that carry a row's hash
-    /// alongside the row anyway (e.g. a pipeline that fingerprints rows
-    /// for routing before deduplicating them).
-    pub fn insert_hashed(&self, row: &[u64], hash: u64) -> bool {
-        match self {
-            CsSet::Narrow(set) => set.insert(row[0]),
-            CsSet::Wide(set) => set.insert_hashed(row, hash),
         }
     }
 
@@ -587,9 +558,8 @@ mod tests {
         set.reserve(100);
         for key in 0..100u64 {
             let row = [key, key.rotate_left(13), !key];
-            assert!(set.insert_hashed(&row, hash_row(&row)), "{key}");
-            assert!(!set.insert(&row), "{key} reinserted plainly");
-            assert!(!set.insert_hashed(&row, hash_row(&row)), "{key} rehashed");
+            assert!(set.insert(&row), "{key}");
+            assert!(!set.insert(&row), "{key} reinserted");
             assert!(set.contains(&row));
         }
         assert_eq!(set.len(), 100);
@@ -601,7 +571,7 @@ mod tests {
         narrow.reserve(1000);
         for key in 0..1000u64 {
             let row = [key * 31];
-            assert!(narrow.insert_hashed(&row, hash_row(&row)));
+            assert!(narrow.insert(&row));
         }
         assert_eq!(narrow.len(), 1000);
         assert_eq!(narrow.overflowed(), 0);
@@ -610,7 +580,7 @@ mod tests {
         wide.reserve(500);
         for key in 0..500u64 {
             let row = [key, key ^ 7, key << 3];
-            assert!(wide.insert_hashed(&row, hash_row(&row)));
+            assert!(wide.insert(&row));
             assert!(!wide.insert(&row));
         }
         assert_eq!(wide.len(), 500);

@@ -8,13 +8,16 @@
 //! * [`Device`] — a "device" with a fixed number of hardware threads that
 //!   executes *kernels*: data-parallel loops over the rows of an output
 //!   matrix, launched in grid/block style and executed by scoped OS
-//!   threads spawned per launch (crossbeam-scoped). One kernel item is a
+//!   threads spawned per launch ([`for_each_span`]). One kernel item is a
 //!   *warp* of [`WARP_LANES`] consecutive rows that run in lock-step, so a
 //!   kernel can bit-slice the warp into the 64 lanes of a `u64`. Kernels
 //!   must be free of data-dependent branching across rows in the same way
 //!   CUDA kernels are, and each item writes only to its own warp of the
 //!   output buffer. Thread blocks ([`DeviceConfig::block_size`]) and the
 //!   item counter are in rows.
+//! * [`for_each_span`] — the span executor under every parallel loop of
+//!   the workspace: it cuts a buffer into fixed-size spans and runs them
+//!   inline or on scoped threads that claim spans in ascending order.
 //! * [`hashset`] — a WarpCore-style concurrent hash set used for the
 //!   global uniqueness check: a lock-free open-addressing table for
 //!   single-word keys and a sharded exact table for multi-word keys.
@@ -48,5 +51,5 @@ mod device;
 pub mod hashset;
 mod stats;
 
-pub use device::{Device, DeviceConfig, WARP_LANES};
+pub use device::{for_each_span, Device, DeviceConfig, WARP_LANES};
 pub use stats::DeviceStats;

@@ -32,9 +32,6 @@ pub struct SynthOptions {
     pub max_cost: Option<u64>,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Rows per work-stealing claim of the thread-parallel backend
-    /// (`--sched-chunk`).
-    pub sched_chunk: Option<usize>,
     /// Bound on candidate rows per streamed level chunk
     /// (`--level-chunk-rows`).
     pub level_chunk_rows: Option<usize>,
@@ -54,7 +51,6 @@ impl Default for SynthOptions {
             allowed_error: 0.0,
             max_cost: None,
             time_budget: None,
-            sched_chunk: None,
             level_chunk_rows: None,
             compare_baseline: false,
         }
@@ -85,8 +81,6 @@ pub struct ServeOptions {
     /// Optional per-run wall-clock budget of the worker sessions
     /// (requests can additionally carry their own `timeout_ms` deadline).
     pub time_budget: Option<Duration>,
-    /// Rows per work-stealing claim of the worker sessions.
-    pub sched_chunk: Option<usize>,
     /// Bound on candidate rows per streamed level chunk of the worker
     /// sessions (also the cancellation granularity of request deadlines).
     pub level_chunk_rows: Option<usize>,
@@ -133,7 +127,6 @@ impl Default for ServeOptions {
             allowed_error: 0.0,
             max_cost: None,
             time_budget: None,
-            sched_chunk: None,
             level_chunk_rows: None,
             cache_dir: None,
             cache_roll_bytes: None,
@@ -200,8 +193,7 @@ USAGE:
                   [--cost a,q,s,c,u]
                   [--backend cpu-sequential|cpu-thread-parallel|gpu-sim-parallel]
                   [--error FRACTION] [--max-cost N] [--timeout SECONDS]
-                  [--sched-chunk ROWS] [--level-chunk-rows ROWS]
-                  [--compare-baseline]
+                  [--level-chunk-rows ROWS] [--compare-baseline]
   paresy serve    [--workers N] [--pools N] [--queue N] [--cache N]
                   [--cache-dir DIR] [--cache-roll-bytes N] [--stream]
                   [--listen ADDR] [--net-threads N]
@@ -210,7 +202,7 @@ USAGE:
                   [--default-tenant WEIGHT,RATE,BURST,MAX_INFLIGHT]
                   [--cost a,q,s,c,u] [--backend NAME] [--error FRACTION]
                   [--max-cost N] [--timeout SECONDS]
-                  [--sched-chunk ROWS] [--level-chunk-rows ROWS] [--metrics]
+                  [--level-chunk-rows ROWS] [--metrics]
   paresy suite    [--task N]
   paresy generate [--scheme 1|2] [--max-len N] [--positives N] [--negatives N] [--seed N]
   paresy help
@@ -221,11 +213,9 @@ and parallel/gpu; the multi-threaded forms take an optional thread count
 (threads:4, parallel:8). --batch runs every file through one session, so
 a parallel backend's device is set up once.
 
---sched-chunk sets the rows per work-stealing claim of the
-thread-parallel backend (smaller balances skew, larger amortises
-claiming); --level-chunk-rows bounds the candidate rows a cost level
-materialises at once (peak batch memory and cancellation granularity).
-Both default to engine-chosen values.
+--level-chunk-rows bounds the candidate rows a cost level materialises
+at once (peak batch memory and cancellation granularity); by default
+the engine derives it from the cache's memory budget.
 
 serve reads one JSON request per stdin line, e.g.
   {\"id\": \"r1\", \"pos\": [\"10\", \"101\"], \"neg\": [\"\", \"0\"],
@@ -338,7 +328,7 @@ fn next_value<'a, I: Iterator<Item = &'a str>>(
 
 /// Parses one of the session flags `synth` and `serve` share (`--cost`,
 /// `--backend`/`--engine`, `--error`, `--max-cost`, `--timeout`,
-/// `--sched-chunk`, `--level-chunk-rows`) into the given slots. Returns
+/// `--level-chunk-rows`) into the given slots. Returns
 /// `Ok(false)` when `flag` is none of them, so the caller can try its own
 /// flags or report it as unknown.
 #[allow(clippy::too_many_arguments)]
@@ -350,7 +340,6 @@ fn parse_session_flag<'a, I: Iterator<Item = &'a str>>(
     allowed_error: &mut f64,
     max_cost: &mut Option<u64>,
     time_budget: &mut Option<Duration>,
-    sched_chunk: &mut Option<usize>,
     level_chunk_rows: &mut Option<usize>,
 ) -> Result<bool, CommandError> {
     match flag {
@@ -381,17 +370,6 @@ fn parse_session_flag<'a, I: Iterator<Item = &'a str>>(
                     CommandError("--timeout expects a non-negative number of seconds".into())
                 })?;
             *time_budget = Some(budget);
-        }
-        "--sched-chunk" => {
-            *sched_chunk = Some(
-                next_value(flag, iter)?
-                    .parse()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| {
-                        CommandError("--sched-chunk expects a positive row count".into())
-                    })?,
-            )
         }
         "--level-chunk-rows" => {
             *level_chunk_rows = Some(
@@ -455,7 +433,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CommandError> {
                             &mut options.allowed_error,
                             &mut options.max_cost,
                             &mut options.time_budget,
-                            &mut options.sched_chunk,
                             &mut options.level_chunk_rows,
                         )? {
                             return Err(CommandError(format!("unknown flag '{other}'")));
@@ -616,7 +593,6 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Command, CommandError> {
                             &mut options.allowed_error,
                             &mut options.max_cost,
                             &mut options.time_budget,
-                            &mut options.sched_chunk,
                             &mut options.level_chunk_rows,
                         )? {
                             return Err(CommandError(format!("unknown flag '{other}'")));
@@ -961,34 +937,18 @@ mod tests {
 
     #[test]
     fn scheduler_knobs_parse_on_both_commands() {
-        let cmd = parse_args(&[
-            "synth",
-            "--pos",
-            "1",
-            "--sched-chunk",
-            "16",
-            "--level-chunk-rows",
-            "512",
-        ])
-        .unwrap();
+        let cmd = parse_args(&["synth", "--pos", "1", "--level-chunk-rows", "512"]).unwrap();
         match cmd {
-            Command::Synth(options) => {
-                assert_eq!(options.sched_chunk, Some(16));
-                assert_eq!(options.level_chunk_rows, Some(512));
-            }
+            Command::Synth(options) => assert_eq!(options.level_chunk_rows, Some(512)),
             other => panic!("unexpected {other:?}"),
         }
-        let cmd = parse_args(&["serve", "--sched-chunk", "8", "--level-chunk-rows", "64"]).unwrap();
+        let cmd = parse_args(&["serve", "--level-chunk-rows", "64"]).unwrap();
         match cmd {
-            Command::Serve(options) => {
-                assert_eq!(options.sched_chunk, Some(8));
-                assert_eq!(options.level_chunk_rows, Some(64));
-            }
+            Command::Serve(options) => assert_eq!(options.level_chunk_rows, Some(64)),
             other => panic!("unexpected {other:?}"),
         }
         for bad in [
-            vec!["synth", "--pos", "1", "--sched-chunk", "0"],
-            vec!["synth", "--pos", "1", "--sched-chunk", "many"],
+            vec!["synth", "--pos", "1", "--level-chunk-rows", "0"],
             vec!["serve", "--level-chunk-rows", "0"],
             vec!["serve", "--level-chunk-rows", "-2"],
         ] {
@@ -1056,5 +1016,12 @@ mod tests {
         assert!(parse_args(&["frobnicate"]).is_err());
         assert!(parse_args(&["synth", "--pos", "1", "--wat"]).is_err());
         assert!(parse_args(&["suite", "--task"]).is_err());
+        for args in [
+            vec!["synth", "--pos", "1", "--sched-chunk", "16"],
+            vec!["serve", "--sched-chunk", "16"],
+        ] {
+            let err = parse_args(&args).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{args:?}: {err}");
+        }
     }
 }

@@ -88,9 +88,6 @@ fn session_config(options: &SynthOptions) -> SynthConfig {
     if let Some(budget) = options.time_budget {
         config = config.with_time_budget(budget);
     }
-    if let Some(rows) = options.sched_chunk {
-        config = config.with_sched_chunk(rows);
-    }
     if let Some(rows) = options.level_chunk_rows {
         config = config.with_level_chunk_rows(rows);
     }

@@ -4,13 +4,14 @@
 //! Execution strategy is the open [`Backend`] trait, so new strategies
 //! (chunked/rayon-style CPU,
 //! a real GPU runtime, remote executors) can plug into the search without
-//! touching the search core. Two implementations ship with this crate,
+//! touching the search core. Three implementations ship with this crate,
 //! mirroring the paper's CPU/GPU split:
 //!
 //! * [`Sequential`] — one candidate at a time on the calling thread, with
 //!   early exits; the reference implementation.
-//! * [`ThreadParallel`] — each batch of a level is statically partitioned
-//!   across worker threads, each running the fast sequential kernels
+//! * [`ThreadParallel`] — each batch of a level is cut into 64-row spans
+//!   that worker threads claim in ascending order through
+//!   [`gpu_sim::for_each_span`], each running the fast sequential kernels
 //!   (mask-based concatenation, star by squaring) with per-thread scratch
 //!   rows and the shared concurrent uniqueness set; the multi-core CPU
 //!   strategy.
@@ -79,15 +80,16 @@ impl Backend for Sequential {
     }
 }
 
-/// The multi-core CPU strategy: level batches are partitioned across
-/// worker threads, each running the bit-parallel sequential kernels.
+/// The multi-core CPU strategy: level batches are cut into 64-row spans
+/// that worker threads claim in order, each running the bit-parallel
+/// sequential kernels.
 ///
 /// The backend owns a [`Device`] purely for statistics accounting
 /// (launches, items, hash insertions accumulate there exactly as for
-/// [`DeviceParallel`], so benchmark reports can compare backends); work
-/// is scheduled over scoped threads by
-/// [`LevelBatch::run_threaded`], not through the device's kernel
-/// launcher.
+/// [`DeviceParallel`], so benchmark reports can compare backends); its
+/// threads come from the same span executor as the device's
+/// ([`gpu_sim::for_each_span`], driven by [`LevelBatch::run_threaded`]),
+/// not from the device's kernel launcher.
 #[derive(Debug, Clone)]
 pub struct ThreadParallel {
     device: Device,

@@ -46,7 +46,6 @@ pub struct SynthConfig {
     allowed_error: f64,
     time_budget: Option<Duration>,
     alphabet: Option<Alphabet>,
-    sched_chunk: Option<usize>,
     level_chunk_rows: Option<usize>,
 }
 
@@ -65,7 +64,6 @@ impl SynthConfig {
             allowed_error: 0.0,
             time_budget: None,
             alphabet: None,
-            sched_chunk: None,
             level_chunk_rows: None,
         }
     }
@@ -118,15 +116,6 @@ impl SynthConfig {
         self
     }
 
-    /// Sets the number of candidate rows per work-stealing claim of the
-    /// thread-parallel backend. Smaller chunks balance skewed levels
-    /// better; larger chunks amortise claiming overhead. By default the
-    /// search picks a chunk size itself.
-    pub fn with_sched_chunk(mut self, rows: usize) -> Self {
-        self.sched_chunk = Some(rows);
-        self
-    }
-
     /// Bounds the number of candidate rows a streamed cost level
     /// materialises at once (the size of the in-flight job chunk and of
     /// the batch row buffer). By default the bound is derived from the
@@ -176,11 +165,6 @@ impl SynthConfig {
         self.alphabet.as_ref()
     }
 
-    /// The work-stealing chunk size override, if any.
-    pub fn sched_chunk(&self) -> Option<usize> {
-        self.sched_chunk
-    }
-
     /// The streamed-level chunk-row bound override, if any.
     pub fn level_chunk_rows(&self) -> Option<usize> {
         self.level_chunk_rows
@@ -204,11 +188,6 @@ impl SynthConfig {
             if alphabet.is_empty() {
                 return Err(SynthesisError::invalid_config("alphabet must be non-empty"));
             }
-        }
-        if self.sched_chunk == Some(0) {
-            return Err(SynthesisError::invalid_config(
-                "scheduler chunk size must be positive",
-            ));
         }
         if self.level_chunk_rows == Some(0) {
             return Err(SynthesisError::invalid_config(
@@ -246,9 +225,6 @@ impl fmt::Display for SynthConfig {
             // Nanosecond precision so any Duration round-trips exactly
             // (milliseconds would floor a 500µs budget to 0).
             write!(f, " timeout-ns={}", budget.as_nanos())?;
-        }
-        if let Some(rows) = self.sched_chunk {
-            write!(f, " sched-chunk={rows}")?;
         }
         if let Some(rows) = self.level_chunk_rows {
             write!(f, " level-chunk-rows={rows}")?;
@@ -359,13 +335,6 @@ impl FromStr for SynthConfig {
                         .map_err(|_| invalid(format!("invalid timeout '{value}'")))?;
                     config.time_budget = Some(Duration::from_millis(millis));
                 }
-                "sched-chunk" => {
-                    config.sched_chunk = Some(
-                        value
-                            .parse()
-                            .map_err(|_| invalid(format!("invalid scheduler chunk '{value}'")))?,
-                    );
-                }
                 "level-chunk-rows" => {
                     config.level_chunk_rows = Some(
                         value
@@ -438,9 +407,7 @@ mod tests {
             // Sub-millisecond budgets must survive the wire format too.
             SynthConfig::default().with_time_budget(Duration::from_micros(500)),
             SynthConfig::default().with_backend(BackendChoice::ThreadParallel { threads: Some(3) }),
-            SynthConfig::default()
-                .with_sched_chunk(32)
-                .with_level_chunk_rows(4096),
+            SynthConfig::default().with_level_chunk_rows(4096),
             SynthConfig::default().with_level_chunk_rows(usize::MAX),
         ];
         for config in configs {
@@ -458,9 +425,8 @@ mod tests {
             "memory=lots",
             "error=2.0",
             "wat=1",
+            "sched-chunk=16",
             "no-equals",
-            "sched-chunk=0",
-            "sched-chunk=some",
             "level-chunk-rows=0",
             "level-chunk-rows=-3",
         ] {

@@ -20,8 +20,9 @@
 //! Execution strategy is an open abstraction: the [`Backend`] trait
 //! decides how the rows of a cost level are computed. Three backends ship
 //! with the crate — [`Sequential`] (the reference CPU loop),
-//! [`ThreadParallel`] (level batches statically partitioned over worker
-//! threads running the bit-parallel mask kernels) and [`DeviceParallel`]
+//! [`ThreadParallel`] (level batches cut into 64-row spans that worker
+//! threads claim in order, running the bit-parallel mask kernels) and
+//! [`DeviceParallel`]
 //! (data-parallel kernels on an owned [`gpu_sim::Device`], mirroring the
 //! paper's GPU implementation). All produce results of identical minimal
 //! cost.
@@ -77,7 +78,6 @@ mod config;
 mod observe;
 pub mod refine;
 mod result;
-pub mod sched;
 mod search;
 mod session;
 mod synth;

@@ -31,17 +31,12 @@ pub struct SynthesisStats {
     /// Number of candidates that survived the uniqueness check.
     pub unique_languages: u64,
     /// Work chunks claimed by the level execution engine: streamed level
-    /// chunks on the sequential and device strategies, work-stealing
-    /// scheduler claims on the thread-parallel strategy.
+    /// chunks on the sequential and device strategies, fixed 64-row spans
+    /// of each batch on the thread-parallel strategy.
     pub chunks_claimed: u64,
-    /// Scheduler chunks a thread-parallel worker claimed from another
-    /// worker's range (0 on the other strategies).
+    /// Always 0: no strategy steals work. Kept only because the
+    /// benchmark's per-layer report still reads it.
     pub chunks_stolen: u64,
-    /// Rows per work-stealing claim in effect when the run ended. The
-    /// search adapts this between levels from the observed steal rate
-    /// (high contention halves it, calm levels grow it back towards the
-    /// configured value), so the final value is a contention fingerprint.
-    pub sched_chunk: u64,
     /// Candidate rows whose full satisfaction check was skipped by the
     /// single-block admission prefilter.
     pub prefilter_rejects: u64,

@@ -21,8 +21,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use gpu_sim::hashset::CsSet;
-use gpu_sim::{Device, WARP_LANES};
-use parking_lot::Mutex;
+use gpu_sim::{for_each_span, Device, WARP_LANES};
 use rei_lang::{
     csops, AdmissionPrefilter, Alphabet, CsWidth, GuideMasks, GuideTable, InfixClosure,
     SatisfyMasks, Spec,
@@ -33,7 +32,6 @@ use crate::backend::Backend;
 use crate::cache::{LanguageCache, Provenance};
 use crate::observe::{CancelToken, Observer};
 use crate::result::{LevelStats, SynthesisError, SynthesisResult, SynthesisStats};
-use crate::sched::StealScheduler;
 
 /// Hard cap on candidate rows materialised per streamed level chunk (and
 /// therefore per kernel launch) when the configuration does not pin
@@ -44,38 +42,8 @@ const MAX_LEVEL_CHUNK_ROWS: usize = 1 << 16;
 /// overhead dominates the kernels.
 const MIN_LEVEL_CHUNK_ROWS: usize = 256;
 
-/// Default rows per work-stealing claim of the thread-parallel strategy.
-const DEFAULT_SCHED_CHUNK: usize = 64;
-
-/// Steal fraction above which a level counts as contended: the next level
-/// halves the work-stealing chunk so the tail spreads better.
-const STEAL_RATE_SHRINK: f64 = 0.25;
-
-/// Steal fraction below which a level counts as calm: the chunk grows
-/// back towards the configured size.
-const STEAL_RATE_GROW: f64 = 0.10;
-
-/// Floor of the adapted chunk size; below this the per-claim scheduler
-/// overhead dominates the kernels.
-const MIN_SCHED_CHUNK: usize = 8;
-
-/// The steal-rate feedback rule for the work-stealing chunk size (see
-/// [`Search::adapt_sched_chunk`]): `current` is this level's chunk, `cap`
-/// the configured (or default) size the chunk may grow back to, and
-/// `claimed`/`stolen` the scheduler counters observed over one level.
-fn adapted_sched_chunk(current: usize, cap: usize, claimed: u64, stolen: u64) -> usize {
-    if claimed == 0 {
-        return current;
-    }
-    let rate = stolen as f64 / claimed as f64;
-    if rate > STEAL_RATE_SHRINK {
-        (current / 2).max(MIN_SCHED_CHUNK.min(cap))
-    } else if rate < STEAL_RATE_GROW && current < cap {
-        (current * 2).min(cap)
-    } else {
-        current
-    }
-}
+/// Candidate rows per span the thread-parallel strategy's workers claim.
+const SPAN_ROWS: usize = 64;
 
 /// Derives the streamed-chunk bound from the cache's memory budget: the
 /// in-flight batch buffer (`rows * stride` words) may use about 1/16 of
@@ -95,9 +63,6 @@ pub(crate) struct SearchParams<'a> {
     pub allowed_errors: usize,
     pub max_cost: u64,
     pub started: Instant,
-    /// Rows per work-stealing claim; `None` picks
-    /// [`DEFAULT_SCHED_CHUNK`].
-    pub sched_chunk: Option<usize>,
     /// Rows per streamed level chunk; `None` derives the bound from the
     /// memory budget ([`default_level_chunk_rows`]).
     pub level_chunk_rows: Option<usize>,
@@ -402,11 +367,13 @@ fn compute_job_row(
 }
 
 thread_local! {
-    /// Scratch of the device kernel: the warp's lane columns
-    /// (`csops::concat_warp`) followed by one star scratch row. The device
-    /// schedules warps rather than workers, so per-worker reusable state
-    /// lives in a thread local instead of a per-warp heap allocation.
-    static WARP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Scratch of the parallel kernels. The device kernel keeps the warp's
+    /// lane columns (`csops::concat_warp`) followed by one star scratch
+    /// row; the thread-parallel kernel keeps only the star row. Both run
+    /// on [`for_each_span`], which hands out spans rather than per-worker
+    /// state, so reusable scratch lives in a thread local instead of a
+    /// per-span heap allocation.
+    static KERNEL_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 // The warp kernel bit-slices a warp's rows into the lanes of one `u64`.
@@ -427,14 +394,13 @@ const FLAG_CHECKED: u64 = 8;
 /// The kernel-side admission protocol shared by the parallel strategies:
 /// resets the per-item flag word, records uniqueness ([`FLAG_UNIQUE`])
 /// through the shared concurrent set (wide rows are hashed once, while
-/// still hot, inside the sharded set's insert — see
-/// `ShardedSet::insert_hashed`), then runs the two-phase satisfaction
-/// check:
-/// the cheap single-block prefilter first ([`FLAG_PREFILTERED`] when it
-/// proves the row cannot satisfy), the full mask fold only for survivors
-/// ([`FLAG_SATISFIES`], lowering `found` to the earliest satisfying batch
-/// index). Rows at indices above the current winner skip both phases —
-/// they can neither improve the winner nor need their verdict.
+/// still hot, inside the sharded set's insert), then runs the two-phase
+/// satisfaction check: the cheap single-block prefilter first
+/// ([`FLAG_PREFILTERED`] when it proves the row cannot satisfy), the full
+/// mask fold only for survivors ([`FLAG_SATISFIES`], lowering `found` to
+/// the earliest satisfying batch index). Rows at indices above the
+/// current winner skip both phases — they can neither improve the winner
+/// nor need their verdict.
 #[allow(clippy::too_many_arguments)]
 fn flag_computed_row(
     k: usize,
@@ -536,12 +502,6 @@ struct Search<'a> {
     prefilter: AdmissionPrefilter,
     width: CsWidth,
     eps_index: usize,
-    /// Rows-per-claim of the work-stealing scheduler, adapted between
-    /// levels from the observed steal rate.
-    sched_chunk: usize,
-    /// The configured (or default) chunk size: the upper bound the
-    /// adaptive rule may grow `sched_chunk` back to.
-    sched_chunk_cap: usize,
     /// Resolved bound on rows per streamed level chunk.
     level_chunk_rows: usize,
     cache: LanguageCache,
@@ -696,7 +656,7 @@ impl LevelBatch<'_, '_> {
                         *ops = Some((cache.row(l), cache.row(r)));
                     }
                 }
-                WARP_SCRATCH.with(|cell| {
+                KERNEL_SCRATCH.with(|cell| {
                     let mut scratch = cell.borrow_mut();
                     scratch.resize(columns_len + blocks, 0);
                     let (columns, star) = scratch.split_at_mut(columns_len);
@@ -731,26 +691,23 @@ impl LevelBatch<'_, '_> {
         outcome
     }
 
-    /// The thread-parallel CPU strategy: the batch is cut into fixed-size
-    /// chunks of candidate rows which worker threads claim through the
-    /// work-stealing [`StealScheduler`] — each worker drains its own
-    /// range of chunks through an atomic cursor, then steals chunks from
-    /// its peers, so a skewed batch (a few expensive star rows in one
-    /// region) cannot leave cores idle the way the old static
-    /// one-span-per-worker split could. Each worker computes its claimed
-    /// candidates with the fast sequential kernels (mask-based
-    /// concatenation, star by squaring) into the chunk's span of the
-    /// batch buffer, using a private star scratch row and the shared
-    /// concurrent [`CsSet`] for the global uniqueness check; chunks whose
-    /// base index lies above the shared `found` winner are skipped
-    /// without running any kernel. The host then performs the same
-    /// admission pass as the device strategy.
+    /// The thread-parallel CPU strategy: the batch is cut into spans of 64
+    /// candidate rows, which `threads` workers claim in ascending order
+    /// through [`for_each_span`], the executor the device's launches run on
+    /// too. The worker count is capped by the batch's rows, not its spans,
+    /// so any batch of two or more rows spawns threads when `threads > 1`;
+    /// a single worker runs the spans inline. Each worker computes its
+    /// span's candidates with the fast sequential kernels (mask-based
+    /// concatenation, star by squaring) into the span of the batch buffer,
+    /// using a per-thread star scratch row and the shared concurrent
+    /// [`CsSet`] for the global uniqueness check; a span whose base index
+    /// lies above the shared `found` winner clears its flag words and runs
+    /// no kernel. The host then performs the same admission pass as the
+    /// device strategy.
     ///
     /// Compared to [`run_on_device`](LevelBatch::run_on_device) this is
-    /// the pragmatic multi-core backend: chunk claiming is one atomic
-    /// `fetch_add` (no per-block channel traffic), scratch rows are
-    /// per-thread, and concatenation runs the mask kernel per row instead
-    /// of the branch-free warp gather.
+    /// the pragmatic multi-core backend: concatenation runs the mask
+    /// kernel per row instead of the branch-free warp gather.
     pub fn run_threaded(&mut self, threads: usize) -> BatchOutcome {
         let blocks = self.row_blocks();
         let stride = blocks + 1;
@@ -758,8 +715,6 @@ impl LevelBatch<'_, '_> {
         if batch.is_empty() {
             return BatchOutcome::Continue;
         }
-        let threads = threads.clamp(1, batch.len());
-        let chunk_rows = self.search.sched_chunk.min(batch.len());
         let mut batch_rows = std::mem::take(&mut self.search.scratch.batch_rows);
         if batch_rows.len() < batch.len() * stride {
             batch_rows.resize(batch.len() * stride, 0);
@@ -773,12 +728,9 @@ impl LevelBatch<'_, '_> {
         self.search.stats_device.record_launch(batch.len());
         let buf = &mut batch_rows[..batch.len() * stride];
         let found = AtomicU64::new(u64::MAX);
-        // Scheduler telemetry, aggregated once per worker (never on the
-        // kernel hot path): chunks claimed, chunks stolen, and rows
-        // skipped by the early-winner cutoff — the latter also corrects
-        // the hash-insertion accounting below.
-        let claimed = AtomicU64::new(0);
-        let stolen = AtomicU64::new(0);
+        // Rows of spans the early-winner cutoff skipped: they never reach
+        // the uniqueness set, which the hash-insertion count below
+        // corrects for.
         let skipped_rows = AtomicU64::new(0);
         {
             let cache = &self.search.cache;
@@ -789,85 +741,45 @@ impl LevelBatch<'_, '_> {
             let eps = self.search.eps_index;
             let allowed = self.search.params.allowed_errors;
             let on_the_fly = self.search.on_the_fly;
-            let found = &found;
-            let kernel = |k: usize, chunk: &mut [u64], scratch: &mut [u64]| {
-                let (row, flags) = chunk.split_at_mut(blocks);
-                compute_job_row(batch[k], row, scratch, cache, guide_masks, eps);
-                flag_computed_row(
-                    k, row, flags, seen, masks, prefilter, on_the_fly, allowed, found,
-                );
-            };
-            if threads == 1 {
-                // Single worker: run inline, no thread spawn, no
-                // scheduler (keeps the backend graceful on single-core
-                // hosts). The whole batch is one claimed chunk.
-                claimed.fetch_add(1, Ordering::Relaxed);
-                let mut scratch = vec![0u64; blocks];
-                for (k, chunk) in buf.chunks_mut(stride).enumerate() {
-                    kernel(k, chunk, &mut scratch);
-                }
-            } else {
-                // Hand each chunk's span of the batch buffer over through
-                // a once-per-chunk mutex slot: the scheduler arbitrates
-                // indices, the slot transfers the `&mut` ownership.
-                let spans: Vec<Mutex<Option<&mut [u64]>>> = buf
-                    .chunks_mut(chunk_rows * stride)
-                    .map(|span| Mutex::new(Some(span)))
-                    .collect();
-                let num_chunks = spans.len();
-                let sched = StealScheduler::new(num_chunks, threads);
-                let (spans, sched, kernel) = (&spans, &sched, &kernel);
-                let (claimed, stolen, skipped_rows) = (&claimed, &stolen, &skipped_rows);
-                crossbeam::scope(|scope| {
-                    for worker in 0..threads {
-                        scope.spawn(move |_| {
-                            let mut scratch = vec![0u64; blocks];
-                            let (mut my_claimed, mut my_stolen, mut my_skipped) =
-                                (0u64, 0u64, 0u64);
-                            while let Some(claim) = sched.claim(worker) {
-                                my_claimed += 1;
-                                my_stolen += u64::from(claim.stolen);
-                                let base = claim.chunk * chunk_rows;
-                                let span = spans[claim.chunk]
-                                    .lock()
-                                    .take()
-                                    .expect("chunk claimed twice");
-                                if (found.load(Ordering::Relaxed) as usize) < base {
-                                    // A satisfying row below every index of
-                                    // this chunk is already known: clear the
-                                    // (reused) flag words and skip the
-                                    // kernels entirely.
-                                    for chunk in span.chunks_mut(stride) {
-                                        chunk[blocks] = 0;
-                                        my_skipped += 1;
-                                    }
-                                    continue;
-                                }
-                                for (offset, chunk) in span.chunks_mut(stride).enumerate() {
-                                    kernel(base + offset, chunk, &mut scratch);
-                                }
-                            }
-                            claimed.fetch_add(my_claimed, Ordering::Relaxed);
-                            stolen.fetch_add(my_stolen, Ordering::Relaxed);
-                            skipped_rows.fetch_add(my_skipped, Ordering::Relaxed);
-                        });
+            let (found, skipped_rows) = (&found, &skipped_rows);
+            let workers = threads.min(batch.len());
+            for_each_span(workers, buf, SPAN_ROWS * stride, |span_index, span| {
+                let base = span_index * SPAN_ROWS;
+                if (found.load(Ordering::Relaxed) as usize) < base {
+                    // A satisfying row below every index of this span is
+                    // already known: clear the (reused) flag words and
+                    // skip the kernels entirely.
+                    for chunk in span.chunks_mut(stride) {
+                        chunk[blocks] = 0;
                     }
-                })
-                .expect("level worker panicked");
-            }
+                    skipped_rows.fetch_add((span.len() / stride) as u64, Ordering::Relaxed);
+                    return;
+                }
+                KERNEL_SCRATCH.with(|cell| {
+                    let mut scratch = cell.borrow_mut();
+                    scratch.resize(blocks, 0);
+                    for (offset, chunk) in span.chunks_mut(stride).enumerate() {
+                        let (row, flags) = chunk.split_at_mut(blocks);
+                        let k = base + offset;
+                        compute_job_row(batch[k], row, &mut scratch, cache, guide_masks, eps);
+                        flag_computed_row(
+                            k, row, flags, seen, masks, prefilter, on_the_fly, allowed, found,
+                        );
+                    }
+                });
+            });
         }
 
         // Account hash insertions from the rows that actually reached the
-        // set: everything except the chunks the early-winner cutoff
+        // set: everything except the spans the early-winner cutoff
         // skipped (in OnTheFly mode nothing is inserted at all).
         if !self.search.on_the_fly {
-            let processed = batch.len() as u64 - skipped_rows.load(Ordering::Relaxed);
+            let processed = batch.len() as u64 - skipped_rows.into_inner();
             self.search.stats_device.record_hash_insertions(processed);
         }
-        self.search.stats.chunks_claimed += claimed.load(Ordering::Relaxed);
-        self.search.stats.chunks_stolen += stolen.load(Ordering::Relaxed);
+        self.search.stats.chunks_claimed += batch.len().div_ceil(SPAN_ROWS) as u64;
 
-        let outcome = self.flush_unique_rows(buf, stride, found.load(Ordering::Relaxed));
+        let outcome = self.flush_unique_rows(buf, stride, found.into_inner());
         self.search.scratch.batch_rows = batch_rows;
         outcome
     }
@@ -1049,7 +961,6 @@ impl<'a> Search<'a> {
         let eps_index = ic
             .eps_index()
             .expect("non-trivial spec has a non-empty closure");
-        let sched_chunk = params.sched_chunk.unwrap_or(DEFAULT_SCHED_CHUNK).max(1);
         let level_chunk_rows = params
             .level_chunk_rows
             .unwrap_or_else(|| default_level_chunk_rows(params.memory_budget, width.blocks() + 1))
@@ -1085,8 +996,6 @@ impl<'a> Search<'a> {
             prefilter,
             width,
             eps_index,
-            sched_chunk,
-            sched_chunk_cap: sched_chunk,
             level_chunk_rows,
             cache,
             seen,
@@ -1117,32 +1026,15 @@ impl<'a> Search<'a> {
     }
 
     /// Advances the search by one cost level: the unified stop check at
-    /// the level boundary, then the level build, then the steal-rate
-    /// feedback on the work-stealing chunk size.
+    /// the level boundary, then the level build.
     fn step_level(&mut self, cost: u64, backend: &dyn Backend) -> LevelOutcome {
         if let Some(stop) = self.stop.poll() {
             return LevelOutcome::Stopped(stop);
         }
         self.stats.max_cost_reached = cost;
-        let claimed_before = self.stats.chunks_claimed;
-        let stolen_before = self.stats.chunks_stolen;
-        let outcome = self.build_level(cost, backend);
-        self.adapt_sched_chunk(
-            self.stats.chunks_claimed - claimed_before,
-            self.stats.chunks_stolen - stolen_before,
-        );
-        outcome
+        self.build_level(cost, backend)
     }
 
-    /// Applies [`adapted_sched_chunk`] to one level's scheduler counters:
-    /// a contended level halves the next level's chunk, a calm one grows
-    /// it back towards the configured cap. Single-worker strategies claim
-    /// without stealing, so the chunk settles at the cap and the rule
-    /// degrades to a no-op.
-    fn adapt_sched_chunk(&mut self, claimed: u64, stolen: u64) {
-        self.sched_chunk =
-            adapted_sched_chunk(self.sched_chunk, self.sched_chunk_cap, claimed, stolen);
-    }
     /// The pair-based guide table, built on first use (only the device
     /// strategy reads it).
     fn pair_table(&self) -> &GuideTable {
@@ -1371,7 +1263,6 @@ impl<'a> Search<'a> {
         stats.cache_rows = self.cache.len() as u64;
         stats.cache_bytes = self.cache.memory_bytes() as u64;
         stats.dedup_overflowed = self.seen.overflowed();
-        stats.sched_chunk = self.sched_chunk as u64;
         stats.elapsed = self.params.started.elapsed();
         stats
     }
@@ -1401,24 +1292,6 @@ mod tests {
         assert_eq!(Job::Star(4).provenance(), Provenance::Star(4));
         assert_eq!(Job::Concat(1, 2).provenance(), Provenance::Concat(1, 2));
         assert_eq!(Job::Union(5, 6).provenance(), Provenance::Union(5, 6));
-    }
-
-    #[test]
-    fn sched_chunk_adapts_to_steal_rate() {
-        // Contended level: halve.
-        assert_eq!(adapted_sched_chunk(64, 64, 100, 40), 32);
-        // Calm level: grow back ...
-        assert_eq!(adapted_sched_chunk(32, 64, 100, 2), 64);
-        // ... but never beyond the configured cap.
-        assert_eq!(adapted_sched_chunk(64, 64, 100, 2), 64);
-        // Floored so scheduler overhead cannot dominate.
-        assert_eq!(adapted_sched_chunk(8, 64, 100, 90), 8);
-        // A cap below the floor wins (explicitly tiny configuration).
-        assert_eq!(adapted_sched_chunk(4, 4, 100, 90), 4);
-        // Moderate steal rate: hold steady.
-        assert_eq!(adapted_sched_chunk(64, 64, 100, 15), 64);
-        // No claims at all (empty level): hold steady.
-        assert_eq!(adapted_sched_chunk(32, 64, 0, 0), 32);
     }
 
     #[test]

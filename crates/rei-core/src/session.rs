@@ -35,12 +35,9 @@ pub struct SessionStats {
     /// Unique languages across all runs.
     pub unique_languages: u64,
     /// Work chunks claimed by the level execution engine across all runs
-    /// (streamed level chunks, or work-stealing claims on the
-    /// thread-parallel backend).
+    /// (streamed level chunks, or 64-row spans on the thread-parallel
+    /// backend).
     pub chunks_claimed: u64,
-    /// Scheduler chunks stolen between thread-parallel workers across all
-    /// runs.
-    pub chunks_stolen: u64,
     /// Candidate rows rejected by the admission prefilter (their full
     /// satisfaction check was skipped) across all runs.
     pub prefilter_rejects: u64,
@@ -465,7 +462,6 @@ impl SynthSession {
             allowed_errors: self.config.allowed_example_errors(spec),
             max_cost,
             started,
-            sched_chunk: self.config.sched_chunk(),
             level_chunk_rows: self.config.level_chunk_rows(),
         };
         let stop = StopCheck {
@@ -500,7 +496,6 @@ impl SynthSession {
             self.stats.candidates_generated += stats.candidates_generated;
             self.stats.unique_languages += stats.unique_languages;
             self.stats.chunks_claimed += stats.chunks_claimed;
-            self.stats.chunks_stolen += stats.chunks_stolen;
             self.stats.prefilter_rejects += stats.prefilter_rejects;
             self.stats.admission_folds += stats.admission_folds;
             self.stats.dedup_overflowed += stats.dedup_overflowed;

@@ -226,15 +226,14 @@ fn cancellation_between_streamed_chunks_lands_promptly() {
 
 #[test]
 fn threaded_scheduler_counters_and_early_winner_are_consistent() {
-    // Single-row claims with more workers than rows per chunk maximise
-    // both stealing and early-winner skipping; the outcome must still be
-    // the minimal cost-8 expression, and the session must expose the
-    // scheduler's work.
+    // Batches of up to 1000 rows are several 64-row spans each, shared
+    // by four workers, so the winning batch skips the spans above its
+    // winner; the outcome must still be the minimal cost-8 expression,
+    // and the session must expose the spans claimed.
     let spec = intro_spec();
     let config = SynthConfig::new(CostFn::UNIFORM)
         .with_backend(BackendChoice::ThreadParallel { threads: Some(4) })
-        .with_sched_chunk(1)
-        .with_level_chunk_rows(32);
+        .with_level_chunk_rows(1000);
     let mut session = SynthSession::new(config).unwrap();
     let result = session.run(&spec).unwrap();
     assert_eq!(result.cost, 8);
@@ -246,11 +245,13 @@ fn threaded_scheduler_counters_and_early_winner_are_consistent() {
     assert_eq!(stats.dedup_overflowed, 0, "{stats:?}");
     // Per-run stats flow into the cumulative session counters.
     assert_eq!(stats.chunks_claimed, result.stats.chunks_claimed);
-    assert_eq!(stats.chunks_stolen, result.stats.chunks_stolen);
+    assert_eq!(result.stats.chunks_stolen, 0);
+    // One launch per batch, one claim per span: some batch had several.
+    let device = session.device().unwrap().stats();
+    assert!(stats.chunks_claimed > device.kernel_launches, "{stats:?}");
     // Hash-insert accounting reflects the rows that actually reached the
     // dedup set — never more than the candidates constructed (the old
     // whole-batch accounting could overstate under skipping).
-    let device = session.device().unwrap().stats();
     assert!(
         device.hash_insertions <= stats.candidates_generated,
         "inserts {} overstate candidates {}",
@@ -272,13 +273,11 @@ fn sequential_and_device_count_streamed_chunks() {
         let result = session.run(&intro_spec()).unwrap();
         assert_eq!(result.cost, 8, "{backend:?}");
         let stats = session.stats();
-        // Chunked streaming: strictly more chunks than levels, no steals
-        // outside the thread-parallel scheduler.
+        // Chunked streaming: strictly more chunks than levels.
         assert!(
             stats.chunks_claimed > result.stats.levels.len() as u64,
             "{backend:?}: {stats:?}"
         );
-        assert_eq!(stats.chunks_stolen, 0, "{backend:?}");
         assert!(stats.prefilter_rejects > 0, "{backend:?}");
     }
 }
